@@ -3,15 +3,12 @@ package core
 import (
 	"runtime"
 
-	"harpgbdt/internal/engine"
-	"harpgbdt/internal/gh"
 	"harpgbdt/internal/grow"
 	"harpgbdt/internal/invariant"
 	"harpgbdt/internal/obs"
 	"harpgbdt/internal/perf"
 	"harpgbdt/internal/profile"
 	"harpgbdt/internal/sched"
-	"harpgbdt/internal/tree"
 )
 
 // asyncYield, when non-nil, is called by every ASYNC worker at the named
@@ -28,265 +25,201 @@ func yieldAsync(worker int, point string) {
 	}
 }
 
-// buildAsync runs the loosely-coupled TopK mode: a short barrier-mode
-// warm-up until the queue holds enough candidates to feed every worker,
-// then a single parallel region in which each worker repeatedly pops a
-// candidate from the spin-mutex-guarded shared queue and processes the
-// whole node (partition, child histograms, splits) privately. The only
-// barrier is at the end of the tree; this is the paper's "mix mode
-// (X, node parallelism, X)".
+// asyncRun is the loosely-coupled TopK region of one tree (the paper's
+// "mix mode (X, node parallelism, X)"): workers repeatedly claim a
+// candidate from the shared queue, graft its children, process the whole
+// node privately (partition, child histograms, splits) and publish the
+// children back. The only barrier is at the end of the tree. The four
+// steps below are the whole protocol; worker runs them on real
+// goroutines, buildAsyncVirtual on the simulated machine's clock.
 //
-// The spin mutex guards exactly three structures: the candidate queue, the
-// tree skeleton (st.t) and the node-state table (st.nodes), plus the
-// leaves/outstanding counters. Critical sections are kept to loads, stores
-// and the guarded-structure calls themselves — metric updates, cut lookups,
-// weight math, node-state allocation and histogram recycling all happen
-// outside the lock (harplint's spinscope rule enforces this; the remaining
-// in-section calls are annotated individually).
-func (b *Builder) buildAsync(st *buildState) {
-	maxLeaves := b.cfg.MaxLeaves()
-	workers := b.pool.Workers()
-	// Beginning phase: node parallelism cannot use the cores while the
-	// queue is shorter than the worker count, so run barrier-mode batches
-	// (buildHistBatch picks DP for small batches).
-	for st.queue.Len() > 0 && st.queue.Len() < workers && st.leaves < maxLeaves {
-		k := b.cfg.EffectiveK()
-		if rem := maxLeaves - st.leaves; k > rem {
-			k = rem
-		}
-		batch := st.queue.PopBatch(k)
-		b.processBatch(st, batch)
-		b.cWarmup.Inc()
-	}
-	if st.queue.Len() == 0 || st.leaves >= maxLeaves {
-		b.drainQueue(st)
-		return
-	}
+// mu guards exactly the candidate queue, the tree skeleton (st.t), the
+// node table (st.nodes) and the leaves/outstanding counters. Critical
+// sections are kept to loads, stores and the guarded-structure calls
+// themselves: metric updates, cut lookups, weight math, node-state
+// allocation and histogram recycling (which takes the pool's own spin
+// lock) all happen outside (harplint's spinscope rule enforces this; the
+// remaining in-section calls are annotated individually).
+type asyncRun struct {
+	b         *Builder
+	st        *buildState
+	maxLeaves int
 
-	var mu sched.SpinMutex
-	outstanding := 0
-	b.pool.RunWorkers(func(worker int) {
-		// The cursor attributes this worker's whole span by construction:
-		// each transition flushes the elapsed interval into the previous
-		// state, so the per-worker state sums equal the loop's wall time.
-		// Nil (profiling off) makes every call a no-op.
-		cur := b.acc.Cursor(worker)
-		cur.Begin(perf.Work)
-		defer cur.End()
-		defer yieldAsync(worker, "exit")
-		for {
-			yieldAsync(worker, "loop")
-			// Section 1: claim a candidate (or detect completion). Nothing
-			// but queue/counter/table access happens while the lock is held.
-			var toRelease []*nodeState
-			cur.To(perf.SpinWait)
-			mu.Lock()
-			if st.leaves >= maxLeaves {
-				for {
-					c, ok := st.queue.Pop() //harplint:ignore spinscope -- the queue is the guarded structure
-					if !ok {
-						break
-					}
-					toRelease = append(toRelease, st.nodes[c.NodeID]) //harplint:ignore spinscope -- drain runs once per worker at tree end, not on the hot path
-				}
-				mu.Unlock()
-				// Histogram recycling takes the pool's own spin lock; doing
-				// it here keeps the two spin locks from nesting.
-				for _, ns := range toRelease {
-					b.releaseHist(ns)
-				}
-				return
-			}
-			c, ok := st.queue.Pop() //harplint:ignore spinscope -- the queue is the guarded structure
-			if !ok {
-				done := outstanding == 0
-				mu.Unlock()
-				if done {
-					return
-				}
-				b.cQueueEmpty.Inc()
-				cur.To(perf.QueueWait)
-				runtime.Gosched()
-				continue
-			}
-			outstanding++
-			st.leaves++
-			parent := st.nodes[c.NodeID]
-			qlen := st.queue.Len() //harplint:ignore spinscope -- the queue is the guarded structure
-			mu.Unlock()
-			cur.To(perf.Work)
-			yieldAsync(worker, "claimed")
-
-			// Between sections: everything that needs no shared state.
-			// parent's fields are stable — they were fully written before
-			// the candidate was pushed (the queue mutex orders the two).
-			mNodesSplit.Inc()
-			b.cAsyncNodes.Inc()
-			mQueueDepth.Set(float64(qlen))
-			s := parent.split
-			upper := b.ds.Cuts.UpperBound(int(s.Feature), s.Bin)
-			left := &nodeState{sum: gh.Pair{G: s.LeftG, H: s.LeftH}, split: tree.InvalidSplit()}
-			right := &nodeState{sum: gh.Pair{G: s.RightG, H: s.RightH}, split: tree.InvalidSplit()}
-			childDepth := c.Depth + 1
-
-			// Section 2: graft the children into the shared tree skeleton
-			// and node table.
-			cur.To(perf.SpinWait)
-			mu.Lock()
-			l, r := st.t.AddChildren(c.NodeID, s.Feature, s.Bin, upper, s.DefaultLeft, s.Gain) //harplint:ignore spinscope -- the tree skeleton is the guarded structure
-			st.nodes = append(st.nodes, left, right)                                           //harplint:ignore spinscope -- the node table is the guarded structure; append is amortized
-			mu.Unlock()
-			cur.To(perf.Work)
-			yieldAsync(worker, "grafted")
-
-			nsp := obs.StartSpanTID("node", "ProcessNode", worker+1)
-			b.asyncProcessNode(st, parent, left, right, childDepth, cur)
-			nsp.End()
-
-			// Weight math and split validity happen before re-acquiring the
-			// lock; the child sums and splits were sealed by
-			// asyncProcessNode above. Arrays, not slices: no allocation.
-			children := [2]*nodeState{left, right}
-			ids := [2]int32{l, r}
-			weights := [2]float64{
-				b.cfg.Params.CalcWeight(left.sum.G, left.sum.H),
-				b.cfg.Params.CalcWeight(right.sum.G, right.sum.H),
-			}
-			valid := [2]bool{left.split.Valid(), right.split.Valid()}
-
-			// Section 3: publish the finished children and re-queue the
-			// splittable ones.
-			yieldAsync(worker, "publish")
-			toRelease = toRelease[:0]
-			cur.To(perf.SpinWait)
-			mu.Lock()
-			for i, ns := range children {
-				tn := &st.t.Nodes[ids[i]]
-				tn.SumG, tn.SumH, tn.Count = ns.sum.G, ns.sum.H, ns.count
-				tn.Weight = weights[i]
-				if valid[i] {
-					st.queue.Push(grow.Candidate{NodeID: ids[i], Gain: ns.split.Gain, Depth: childDepth, Count: ns.count}) //harplint:ignore spinscope -- the queue is the guarded structure
-				} else {
-					toRelease = append(toRelease, ns) //harplint:ignore spinscope -- two-element worst case, amortized append
-				}
-			}
-			outstanding--
-			mu.Unlock()
-			cur.To(perf.Work)
-			for _, ns := range toRelease {
-				b.releaseHist(ns)
-			}
-		}
-	})
-	b.drainQueue(st)
+	mu sched.SpinMutex
+	// outstanding counts claimed nodes not yet published: an empty queue
+	// only means the tree is finished once it reaches zero.
+	outstanding int
 }
 
-// asyncProcessNode does the whole per-node pipeline privately inside one
-// worker: partition the parent's rows, build the needed child histograms
-// (smaller child + subtraction), and evaluate the children's splits. cur
-// (nil when profiling is off or in virtual mode) tracks the Work-phase
-// transitions alongside the prof.Lap chain.
-func (b *Builder) asyncProcessNode(st *buildState, parent, left, right *nodeState, childDepth int32, cur *perf.Cursor) {
-	cur.SetPhase(perf.PhaseApplySplit)
-	defer cur.SetPhase(perf.PhaseOther)
-	tm := profile.StartTimer()
-	var parentRows engine.RowSet
-	if invariant.Enabled {
-		parentRows = parent.rows
+// buildAsync grows the tree in ASYNC mode. Node parallelism cannot use the
+// cores while the queue is shorter than the worker count, so the beginning
+// phase runs barrier-mode batches (buildHistBatch picks DP for small
+// batches); the rest of the tree is one asyncRun.
+func (b *Builder) buildAsync(st *buildState) {
+	workers := b.pool.Workers()
+	b.cWarmup.Add(b.runBatches(st, func() bool { return st.queue.Len() < workers }))
+	r := &asyncRun{b: b, st: st, maxLeaves: b.cfg.MaxLeaves()}
+	switch {
+	case st.queue.Len() == 0 || st.leaves >= r.maxLeaves:
+	case b.pool.Virtual():
+		r.buildAsyncVirtual()
+	default:
+		b.pool.RunWorkers(func(w int) { r.worker(w) })
 	}
-	goLeft := engine.GoLeftFunc(b.ds.Binned, parent.split)
-	lrs, rrs := engine.Partition(parent.rows, goLeft, nil)
-	left.rows, right.rows = lrs, rrs
-	left.count, right.count = int32(lrs.Len()), int32(rrs.Len())
-	parent.rows = engine.RowSet{}
-	if invariant.Enabled {
-		invariant.PartitionPermutation(parentRows, lrs, rrs, "core.asyncProcessNode")
-		invariant.SplitConservation(parent.sum, left.sum, right.sum, "core.asyncProcessNode")
-	}
-	tm = b.prof.Lap(profile.ApplySplit, tm)
-	cur.SetPhase(perf.PhaseBuildHist)
+}
 
-	lNeed := b.canSplitAsync(left, childDepth)
-	rNeed := b.canSplitAsync(right, childDepth)
-	if !lNeed && !rNeed {
-		b.releaseHist(parent)
-		return
-	}
-	small, big := left, right
-	if left.count > right.count {
-		small, big = right, left
-	}
-	useSub := !b.cfg.DisableSubtraction && parent.hist != nil
-	m := b.ds.NumFeatures()
-	buildFull := func(ns *nodeState) {
-		ns.hist = b.hpool.Get()
-		mBuildHistRows.Add(int64(ns.rows.Len()))
-		for fb := 0; fb < b.blocks.NumBlocks(); fb++ {
-			b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, fullBinRange)
-		}
-		if invariant.Enabled {
-			invariant.HistFeatureTotals(ns.hist, ns.sum, "core.asyncProcessNode")
-		}
-	}
-	subFromParent := func(built *nodeState, sibling *nodeState) {
-		if invariant.Enabled {
-			parentCopy := parent.hist.Clone()
-			parent.hist.SubHist(built.hist)
-			sibling.hist = parent.hist
-			parent.hist = nil
-			invariant.HistConservation(parentCopy, built.hist, sibling.hist, "core.asyncProcessNode")
+// worker is the loop of one real ASYNC worker goroutine.
+func (r *asyncRun) worker(worker int) {
+	// The cursor attributes this worker's whole span by construction: each
+	// transition flushes the elapsed interval into the previous state, so
+	// the per-worker state sums equal the loop's wall time. Nil (profiling
+	// off) makes every call a no-op.
+	cur := r.b.acc.Cursor(worker)
+	cur.Begin(perf.Work)
+	defer cur.End()
+	defer yieldAsync(worker, "exit")
+	for {
+		yieldAsync(worker, "loop")
+		x, ok, done := r.claim(cur)
+		if done {
 			return
 		}
-		parent.hist.SubHist(built.hist)
-		sibling.hist = parent.hist
-		parent.hist = nil
+		if !ok {
+			r.b.cQueueEmpty.Inc()
+			cur.To(perf.QueueWait)
+			runtime.Gosched()
+			continue
+		}
+		yieldAsync(worker, "claimed")
+		r.graft(&x, cur)
+		yieldAsync(worker, "grafted")
+		r.process(&x, worker, cur)
+		yieldAsync(worker, "publish")
+		r.publish(&x, cur)
 	}
-	var evals []*nodeState
-	switch {
-	case lNeed && rNeed:
-		if useSub {
-			buildFull(small)
-			subFromParent(small, big)
-		} else {
-			buildFull(left)
-			buildFull(right)
-			b.releaseHist(parent)
+}
+
+// claim is critical section 1: pop the best candidate and reserve its
+// leaf. ok means claimed: x comes back expanded, its children allocated
+// but not yet in the tree. done means the tree is finished: leaf budget
+// spent, or nothing queued and nothing in flight. Neither means the queue
+// is empty but in-flight nodes may still publish children.
+func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
+	st := r.st
+	var c grow.Candidate
+	var parent *nodeState
+	var queued int
+	cur.To(perf.SpinWait)
+	r.mu.Lock()
+	if st.leaves >= r.maxLeaves {
+		done = true
+	} else if c, ok = st.queue.Pop(); ok { //harplint:ignore spinscope -- the queue is the guarded structure
+		r.outstanding++
+		st.leaves++
+		parent = st.nodes[c.NodeID]
+		queued = st.queue.Len() //harplint:ignore spinscope -- the queue is the guarded structure
+	} else {
+		done = r.outstanding == 0
+	}
+	r.mu.Unlock()
+	cur.To(perf.Work)
+	if !ok {
+		return x, false, done
+	}
+	// parent's fields are stable: they were fully written before the
+	// candidate was pushed (the queue mutex orders the two).
+	r.b.cAsyncNodes.Inc()
+	mQueueDepth.Set(float64(queued))
+	return r.b.expand(c, parent), true, false
+}
+
+// graft is critical section 2: the children enter the shared tree
+// skeleton and node table.
+func (r *asyncRun) graft(x *expansion, cur *perf.Cursor) {
+	cur.To(perf.SpinWait)
+	r.mu.Lock()
+	r.st.graft(x) //harplint:ignore spinscope -- the tree skeleton and the node table are the guarded structures; their appends are amortized
+	r.mu.Unlock()
+	cur.To(perf.Work)
+}
+
+// process is the private step between graft and publish: the whole
+// per-node pipeline inside one worker. Partition the parent's rows, get
+// the needed child histograms (smaller child + subtraction), evaluate the
+// children's splits and recycle the histograms nothing will read again.
+// cur tracks the Work-phase transitions alongside the prof.Lap chain.
+func (r *asyncRun) process(x *expansion, worker int, cur *perf.Cursor) {
+	b, st := r.b, r.st
+	nsp := obs.StartSpanTID("node", "ProcessNode", worker+1)
+	defer nsp.End()
+	cur.SetPhase(profile.ApplySplit)
+	defer cur.SetPhase(profile.Other)
+	tm := profile.StartTimer()
+	b.partition(x, nil)
+	tm = b.prof.Lap(profile.ApplySplit, tm)
+	cur.SetPhase(profile.BuildHist)
+
+	p := b.planFor(x)
+	if !p.subtract {
+		b.releaseHist(x.parent)
+	}
+	if !p.need[0] && !p.need[1] {
+		return
+	}
+	for c, ns := range x.kids {
+		if p.build[c] {
+			b.buildHistPrivate(st, ns)
 		}
-		evals = []*nodeState{left, right}
-	default:
-		need := left
-		if rNeed {
-			need = right
-		}
-		if useSub && need == big {
-			buildFull(small)
-			subFromParent(small, big)
-			b.releaseHist(small)
-		} else {
-			buildFull(need)
-			b.releaseHist(parent)
-		}
-		evals = []*nodeState{need}
+	}
+	if p.subtract {
+		b.subtractHist(x)
 	}
 	tm = b.prof.Lap(profile.BuildHist, tm)
-	cur.SetPhase(perf.PhaseFindSplit)
-	for _, ns := range evals {
-		ns.split = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, 0, m, b.colMask)
+	cur.SetPhase(profile.FindSplit)
+	for c, ns := range x.kids {
+		if !p.need[c] {
+			continue
+		}
+		ns.split = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, 0, b.ds.NumFeatures(), b.colMask)
+		if !ns.split.Valid() {
+			b.releaseHist(ns) // a leaf: nothing reads its histogram again
+		}
 	}
 	b.prof.Stop(profile.FindSplit, tm)
 }
 
-// canSplitAsync is canSplit with the depth passed explicitly (the tree must
-// not be read outside the queue lock).
-func (b *Builder) canSplitAsync(ns *nodeState, depth int32) bool {
-	if ns.count < 2 {
-		return false
+// buildHistPrivate accumulates one node's histogram serially on the
+// calling worker.
+func (b *Builder) buildHistPrivate(st *buildState, ns *nodeState) {
+	ns.hist = b.hpool.Get()
+	mBuildHistRows.Add(int64(ns.rows.Len()))
+	for fb := 0; fb < b.blocks.NumBlocks(); fb++ {
+		b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, fullBinRange)
 	}
-	if ns.sum.H < 2*b.cfg.Params.MinChildWeight {
-		return false
+	if invariant.Enabled {
+		invariant.HistFeatureTotals(ns.hist, ns.sum, "core.buildHistPrivate")
 	}
-	if lim := b.cfg.DepthLimit(); lim > 0 && int(depth) >= lim {
-		return false
+}
+
+// publish is critical section 3: the finished children's totals enter the
+// tree and the splittable ones join the queue.
+func (r *asyncRun) publish(x *expansion, cur *perf.Cursor) {
+	st := r.st
+	// Arrays, not slices: no allocation. Filled before taking the lock.
+	var push [2]bool
+	var cands [2]grow.Candidate
+	for c, ns := range x.kids {
+		push[c], cands[c] = ns.split.Valid(), candidate(x.ids[c], ns, x.depth)
 	}
-	return true
+	cur.To(perf.SpinWait)
+	r.mu.Lock()
+	for c, ns := range x.kids {
+		st.writeStats(x.ids[c], ns) //harplint:ignore spinscope -- the tree skeleton is the guarded structure
+		if push[c] {
+			st.queue.Push(cands[c]) //harplint:ignore spinscope -- the queue is the guarded structure
+		}
+	}
+	r.outstanding--
+	r.mu.Unlock()
+	cur.To(perf.Work)
 }

@@ -3,189 +3,90 @@ package core
 import (
 	"math"
 
-	"harpgbdt/internal/gh"
-	"harpgbdt/internal/grow"
 	"harpgbdt/internal/perf"
-	"harpgbdt/internal/profile"
-	"harpgbdt/internal/tree"
 )
 
-// buildAsyncVirtual is the ASYNC mode on the simulated parallel machine: a
-// discrete-event simulation of K workers popping from the shared candidate
-// queue. Each node's pipeline (partition, child histograms, splits) runs
-// serially and its measured duration advances the owning virtual worker's
-// clock; children become poppable at the simulated time their parent
-// finished; every pop/update/push charges the cost model's spin-lock price.
-// The result is the exact tree the real ASYNC mode would grow under that
+// buildAsyncVirtual drives the run on the simulated parallel machine: a
+// discrete-event loop in which the virtual worker with the earliest clock
+// takes the next turn through the same claim, graft, process and publish
+// steps a goroutine takes in worker. A node's pipeline really runs
+// (serially, here) and its measured duration advances the owning worker's
+// clock; its publish is held back until simulated time reaches the moment
+// it finished, so a worker claims from exactly the queue it would have
+// seen then. The result is the tree the real loop grows under that
 // schedule, plus deterministic busy/wait/wall statistics.
-func (b *Builder) buildAsyncVirtual(st *buildState) {
-	maxLeaves := b.cfg.MaxLeaves()
+func (r *asyncRun) buildAsyncVirtual() {
+	b := r.b
 	workers := b.pool.Workers()
-	// Beginning phase: barrier-mode batches until the queue can feed every
-	// virtual worker (the "X" phases of the paper's mix mode).
-	for st.queue.Len() > 0 && st.queue.Len() < workers && st.leaves < maxLeaves {
-		k := b.cfg.EffectiveK()
-		if rem := maxLeaves - st.leaves; k > rem {
-			k = rem
-		}
-		batch := st.queue.PopBatch(k)
-		b.processBatch(st, batch)
-		b.cWarmup.Inc()
-	}
-	if st.queue.Len() == 0 || st.leaves >= maxLeaves {
-		b.drainQueue(st)
-		return
-	}
-
-	type pendItem struct {
-		c     grow.Candidate
-		ready int64
-	}
-	var pending []pendItem
-	for {
-		c, ok := st.queue.Pop()
-		if !ok {
-			break
-		}
-		pending = append(pending, pendItem{c: c})
-	}
-	clocks := make([]int64, workers)
-	busy := make([]int64, workers)
-	lock := b.pool.Cost().SpinLock.Nanoseconds()
+	// The ledger doubles as the stopwatch (core reads no clock itself): a
+	// node lasts what its worker's cursor booked, so the clocks and the
+	// ledger agree to the nanosecond. A private one serves when profiling
+	// is off.
 	acc := b.acc
+	if acc == nil {
+		acc = perf.NewAccounting(workers)
+	}
+	// claim, graft and publish take the mutex once each.
+	locks := 3 * b.pool.Cost().SpinLock.Nanoseconds()
+	clocks := make([]int64, workers)
+	// held[w] is the node worker w has processed but, at clocks[w], not
+	// yet published.
+	held := make([]*expansion, workers)
 	var serial, tasks int64
-	for len(pending) > 0 && st.leaves < maxLeaves {
-		// The earliest-free virtual worker pops next.
+	for {
 		w := 0
 		for j := 1; j < workers; j++ {
 			if clocks[j] < clocks[w] {
 				w = j
 			}
 		}
-		t := clocks[w]
-		// Best candidate already pushed by time t (loose TopK: each worker
-		// grabs the best it can see).
-		best := -1
-		var minReady int64 = math.MaxInt64
-		for i := range pending {
-			if pending[i].ready <= t {
-				if best < 0 || betterCandidate(pending[i].c, pending[best].c) {
-					best = i
-				}
-			}
-			if pending[i].ready < minReady {
-				minReady = pending[i].ready
+		now := clocks[w]
+		next := int64(math.MaxInt64) // when the next held node publishes
+		for j, x := range held {
+			switch {
+			case x == nil:
+			case clocks[j] <= now:
+				r.publish(x, nil)
+				held[j] = nil
+			case clocks[j] < next:
+				next = clocks[j]
 			}
 		}
-		if best < 0 {
-			// Idle until the next candidate arrives: simulated queue wait.
+		x, ok, done := r.claim(nil)
+		if done {
+			break
+		}
+		if !ok {
+			// Idle until the next publish: simulated queue wait.
 			b.cQueueEmpty.Inc()
-			acc.Add(w, perf.QueueWait, minReady-t)
-			clocks[w] = minReady
+			acc.Add(w, perf.QueueWait, next-now)
+			clocks[w] = next
 			continue
 		}
-		it := pending[best]
-		pending = append(pending[:best], pending[best+1:]...)
-		st.leaves++
-		tasks++
-
-		tm := profile.StartTimer()
-		parent := st.nodes[it.c.NodeID]
-		s := parent.split
-		l, r := st.t.AddChildren(it.c.NodeID, s.Feature, s.Bin,
-			b.ds.Cuts.UpperBound(int(s.Feature), s.Bin), s.DefaultLeft, s.Gain)
-		left := &nodeState{sum: gh.Pair{G: s.LeftG, H: s.LeftH}, split: tree.InvalidSplit()}
-		right := &nodeState{sum: gh.Pair{G: s.RightG, H: s.RightH}, split: tree.InvalidSplit()}
-		st.nodes = append(st.nodes, left, right)
-		childDepth := it.c.Depth + 1
-		b.cAsyncNodes.Inc()
-		var profBefore [3]int64
-		if acc != nil {
-			profBefore = [3]int64{
-				b.prof.Nanos(profile.ApplySplit),
-				b.prof.Nanos(profile.BuildHist),
-				b.prof.Nanos(profile.FindSplit),
-			}
-		}
-		b.asyncProcessNode(st, parent, left, right, childDepth, nil)
-		d := tm.Elapsed().Nanoseconds()
+		cur, before := acc.Cursor(w), acc.WorkerNanos(w)
+		cur.Begin(perf.Work)
+		r.graft(&x, nil)
+		r.process(&x, w, cur)
+		cur.End()
+		d := acc.WorkerNanos(w) - before
+		acc.Add(w, perf.SpinWait, locks)
+		held[w] = &x
+		clocks[w] += d + locks
 		serial += d
-
-		dur := d + 3*lock // pop + tree update + push acquisitions
-		done := t + dur
-		clocks[w] = done
-		busy[w] += dur
-		if acc != nil {
-			// Attribute the node's serial duration to the owning virtual
-			// worker, split by the breakdown's phase laps; the (small)
-			// remainder outside the laps is Other. Clamping keeps the
-			// per-worker total exactly d even if another goroutine's laps
-			// interleave (they cannot in virtual mode, but stay safe).
-			rem := d
-			deltas := [3]int64{
-				b.prof.Nanos(profile.ApplySplit) - profBefore[0],
-				b.prof.Nanos(profile.BuildHist) - profBefore[1],
-				b.prof.Nanos(profile.FindSplit) - profBefore[2],
-			}
-			phases := [3]perf.Phase{perf.PhaseApplySplit, perf.PhaseBuildHist, perf.PhaseFindSplit}
-			for i, dp := range deltas {
-				if dp > rem {
-					dp = rem
-				}
-				acc.AddPhased(w, phases[i], dp)
-				rem -= dp
-			}
-			acc.AddPhased(w, perf.PhaseOther, rem)
-			acc.Add(w, perf.SpinWait, 3*lock)
-		}
-		for i, ns := range []*nodeState{left, right} {
-			id := l
-			if i == 1 {
-				id = r
-			}
-			tn := &st.t.Nodes[id]
-			tn.SumG, tn.SumH, tn.Count = ns.sum.G, ns.sum.H, ns.count
-			tn.Weight = b.cfg.Params.CalcWeight(ns.sum.G, ns.sum.H)
-			if ns.split.Valid() {
-				pending = append(pending, pendItem{
-					c:     grow.Candidate{NodeID: id, Gain: ns.split.Gain, Depth: childDepth, Count: ns.count},
-					ready: done,
-				})
-			} else {
-				b.releaseHist(ns)
-			}
-		}
-	}
-	for _, it := range pending {
-		b.releaseHist(st.nodes[it.c.NodeID])
+		tasks++
 	}
 	var wall int64
-	for _, c := range clocks {
-		if c > wall {
-			wall = c
+	for w, x := range held {
+		if x != nil {
+			r.publish(x, nil)
 		}
+		wall = max(wall, clocks[w])
 	}
-	var busySum, wait int64
-	for w := 0; w < workers; w++ {
-		busySum += busy[w]
-		wait += wall - busy[w]
+	// The gap between a worker's clock and the region wall is the
+	// end-of-tree barrier, which completes every worker's ledger to wall.
+	for w := range clocks {
+		acc.Add(w, perf.BarrierWait, wall-clocks[w])
 	}
-	// Per-worker conservation: each worker has accounted exactly clocks[w]
-	// so far (claim durations plus queue-wait jumps); the gap to the region
-	// wall is the end-of-tree barrier.
-	if acc != nil {
-		for w := 0; w < workers; w++ {
-			acc.Add(w, perf.BarrierWait, wall-clocks[w])
-		}
-	}
-	b.pool.RecordExternalRegion(tasks, serial, busySum, wait, wall)
-}
-
-// betterCandidate orders loose-TopK pops: higher gain first, then lower
-// node id (insertion order proxy) for determinism.
-func betterCandidate(a, b grow.Candidate) bool {
-	if a.Gain != b.Gain {
-		return a.Gain > b.Gain
-	}
-	return a.NodeID < b.NodeID
+	busy := serial + tasks*locks
+	b.pool.RecordExternalRegion(tasks, serial, busy, int64(workers)*wall-busy, wall)
 }

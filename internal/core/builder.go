@@ -126,13 +126,20 @@ func (b *Builder) HistogramsAllocated() int { return b.hpool.Allocated() }
 func (b *Builder) Perf() *perf.Accounting { return b.acc }
 
 // nodeState is the per-node training state: the node's row set, gradient
-// totals, histogram (while alive) and chosen split.
+// totals, leaf weight, histogram (while alive) and chosen split.
 type nodeState struct {
-	rows  engine.RowSet
-	sum   gh.Pair
-	count int32
-	hist  *histogram.Hist
-	split tree.SplitInfo
+	rows   engine.RowSet
+	sum    gh.Pair
+	weight float64
+	count  int32
+	hist   *histogram.Hist
+	split  tree.SplitInfo
+}
+
+// newNode returns the state of a node with the given gradient totals; the
+// pipeline steps fill in its rows, histogram and split.
+func (b *Builder) newNode(sum gh.Pair) *nodeState {
+	return &nodeState{sum: sum, weight: b.cfg.Params.CalcWeight(sum.G, sum.H), split: tree.InvalidSplit()}
 }
 
 // buildState is the per-tree state.
@@ -155,14 +162,12 @@ func (b *Builder) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 	sp := obs.StartSpan("tree", "BuildTree")
 	b.sampleColumns()
 	st := b.newBuildState(grad)
-	switch {
-	case b.cfg.Mode == Async && b.pool.Virtual():
-		b.buildAsyncVirtual(st)
-	case b.cfg.Mode == Async:
+	if b.cfg.Mode == Async {
 		b.buildAsync(st)
-	default:
-		b.buildBarrier(st)
+	} else {
+		b.runBatches(st, nil)
 	}
+	b.drainQueue(st)
 	bt := b.finish(st)
 	mTreesBuilt.Inc()
 	b.acc.EmitTrace()
@@ -177,13 +182,14 @@ func (b *Builder) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 func (b *Builder) newBuildState(grad gh.Buffer) *buildState {
 	n := b.ds.NumRows()
 	rootRows := engine.RootRowSet(n, grad, b.cfg.UseMemBuf)
-	rootSum := rootRows.Sum(grad)
-	t := tree.New(rootSum.G, rootSum.H, int32(n))
-	t.Nodes[0].Weight = b.cfg.Params.CalcWeight(rootSum.G, rootSum.H)
+	root := b.newNode(rootRows.Sum(grad))
+	root.rows, root.count = rootRows, int32(n)
+	t := tree.New(root.sum.G, root.sum.H, root.count)
+	t.Nodes[0].Weight = root.weight
 	st := &buildState{
 		grad:   grad,
 		t:      t,
-		nodes:  []*nodeState{{rows: rootRows, sum: rootSum, count: int32(n), split: tree.InvalidSplit()}},
+		nodes:  []*nodeState{root},
 		queue:  grow.NewQueue(b.cfg.Growth),
 		leaves: 1,
 	}
@@ -193,10 +199,14 @@ func (b *Builder) newBuildState(grad gh.Buffer) *buildState {
 	return st
 }
 
-// buildBarrier runs the batched barrier-mode main loop (DP, MP and SYNC).
-func (b *Builder) buildBarrier(st *buildState) {
+// runBatches is the barrier-mode main loop (DP, MP and SYNC; the ASYNC
+// modes use it for their warm-up): pop a TopK batch and process it behind
+// barriers, until the queue is empty, the leaf budget is spent or while
+// (nil = always) stops holding. It returns the number of batches run.
+func (b *Builder) runBatches(st *buildState, while func() bool) int64 {
 	maxLeaves := b.cfg.MaxLeaves()
-	for st.queue.Len() > 0 && st.leaves < maxLeaves {
+	var batches int64
+	for st.queue.Len() > 0 && st.leaves < maxLeaves && (while == nil || while()) {
 		k := b.cfg.EffectiveK()
 		if rem := maxLeaves - st.leaves; k > rem {
 			k = rem
@@ -204,8 +214,9 @@ func (b *Builder) buildBarrier(st *buildState) {
 		batch := st.queue.PopBatch(k)
 		mQueueDepth.Set(float64(st.queue.Len()))
 		b.processBatch(st, batch)
+		batches++
 	}
-	b.drainQueue(st)
+	return batches
 }
 
 // processBatch applies the splits of a popped batch and prepares its
@@ -215,12 +226,11 @@ func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 	if b.acc != nil {
 		regions0 = b.pool.Stats().Regions
 	}
-	pairs := b.applySplitBatch(st, batch)
+	xs := b.applySplitBatch(st, batch)
 	st.leaves += len(batch)
-	mNodesSplit.Add(int64(len(batch)))
-	buildIDs, subs, evalIDs := b.planHists(st, pairs)
+	buildIDs, subs, evalIDs := b.planHists(xs)
 	b.buildHistBatch(st, buildIDs)
-	b.applySubtractions(st, subs)
+	b.applySubtractions(subs)
 	b.findSplitBatch(st, evalIDs)
 	for _, id := range evalIDs {
 		b.pushOrFinalize(st, id)
@@ -264,186 +274,235 @@ func (b *Builder) sampleColumns() {
 	b.colMask = mask
 }
 
-// childPair records one applied split.
-type childPair struct {
-	parent, left, right int32
+// phaseScope is one open barrier phase (see beginPhase).
+type phaseScope struct {
+	b       *Builder
+	p, prev profile.Phase
+	sp      obs.Span
+	tm      profile.Timer
+}
+
+// beginPhase opens a barrier phase: until end(), the pool's regions book
+// their Work under p in the ledger, the wall time goes to p in the
+// breakdown and sp covers it in the trace (the caller opens sp because
+// obshygiene wants span names constant at the StartSpan call).
+func (b *Builder) beginPhase(p profile.Phase, sp obs.Span) phaseScope {
+	return phaseScope{b: b, p: p, prev: b.acc.SetPhase(p), sp: sp, tm: profile.StartTimer()}
+}
+
+func (s phaseScope) end() {
+	s.b.prof.Stop(s.p, s.tm)
+	s.b.acc.SetPhase(s.prev)
+	s.sp.End()
+}
+
+// expansion is one node being split: the parent and the two children the
+// split creates (index 0 is the left child, 1 the right). It is what flows
+// through the per-node pipeline in every mode: a barrier batch is a slice
+// of them, an ASYNC worker carries one.
+type expansion struct {
+	id     int32 // the parent's node id
+	parent *nodeState
+	kids   [2]*nodeState
+	ids    [2]int32 // the children's node ids, assigned by graft
+	// depth is the children's depth, carried here because ASYNC workers
+	// must not read the tree outside the queue lock.
+	depth int32
+	upper float32  // the split's cut value
+	plan  histPlan // how the children get histograms, known once partitioned
+}
+
+// expand counts the split of candidate c and allocates its children from
+// parent's split record. It touches no shared state, so ASYNC workers run
+// it unlocked.
+func (b *Builder) expand(c grow.Candidate, parent *nodeState) expansion {
+	mNodesSplit.Inc()
+	s := parent.split
+	return expansion{
+		id:     c.NodeID,
+		parent: parent,
+		kids:   [2]*nodeState{b.newNode(gh.Pair{G: s.LeftG, H: s.LeftH}), b.newNode(gh.Pair{G: s.RightG, H: s.RightH})},
+		depth:  c.Depth + 1,
+		upper:  b.ds.Cuts.UpperBound(int(s.Feature), s.Bin),
+	}
+}
+
+// graft grows the tree skeleton and the node table by x's two children.
+// It is the only place either grows; ASYNC workers call it under the
+// run's spin mutex.
+func (st *buildState) graft(x *expansion) {
+	s := x.parent.split
+	x.ids[0], x.ids[1] = st.t.AddChildren(x.id, s.Feature, s.Bin, x.upper, s.DefaultLeft, s.Gain)
+	st.nodes = append(st.nodes, x.kids[0], x.kids[1])
+}
+
+// writeStats copies a partitioned node's totals into its tree node.
+func (st *buildState) writeStats(id int32, ns *nodeState) {
+	tn := &st.t.Nodes[id]
+	tn.SumG, tn.SumH, tn.Count, tn.Weight = ns.sum.G, ns.sum.H, ns.count, ns.weight
 }
 
 // applySplitBatch expands the tree for every candidate and partitions their
 // row sets (ApplySplit). Tree mutation is serial; partitions run in
 // parallel.
-func (b *Builder) applySplitBatch(st *buildState, batch []grow.Candidate) []childPair {
-	sp := obs.StartSpan("phase", "ApplySplit")
-	prevPhase := b.acc.SetPhase(perf.PhaseApplySplit)
-	defer b.acc.SetPhase(prevPhase)
-	tm := profile.StartTimer()
-	pairs := make([]childPair, len(batch))
+func (b *Builder) applySplitBatch(st *buildState, batch []grow.Candidate) []expansion {
+	defer b.beginPhase(profile.ApplySplit, obs.StartSpan("phase", "ApplySplit")).end()
+	xs := make([]expansion, len(batch))
 	for i, c := range batch {
-		ns := st.nodes[c.NodeID]
-		s := ns.split
-		l, r := st.t.AddChildren(c.NodeID, s.Feature, s.Bin,
-			b.ds.Cuts.UpperBound(int(s.Feature), s.Bin), s.DefaultLeft, s.Gain)
-		left := &nodeState{sum: gh.Pair{G: s.LeftG, H: s.LeftH}, split: tree.InvalidSplit()}
-		right := &nodeState{sum: gh.Pair{G: s.RightG, H: s.RightH}, split: tree.InvalidSplit()}
-		st.nodes = append(st.nodes, left, right)
-		pairs[i] = childPair{parent: c.NodeID, left: l, right: r}
+		xs[i] = b.expand(c, st.nodes[c.NodeID])
+		st.graft(&xs[i])
 	}
 	// Partition phase: one parallel region for the whole batch.
-	if len(batch) == 1 {
-		b.partitionNode(st, pairs[0], b.pool)
+	if len(xs) == 1 {
+		b.partition(&xs[0], b.pool)
 	} else {
-		tasks := make([]func(int), len(pairs))
-		for i := range pairs {
-			p := pairs[i]
+		tasks := make([]func(int), len(xs))
+		for i := range xs {
+			x := &xs[i]
 			tasks[i] = func(w int) {
 				tsp := obs.StartSpanTID("block-task", "partition", w+1)
-				b.partitionNode(st, p, nil)
+				b.partition(x, nil)
 				tsp.End()
 			}
 		}
 		b.pool.RunTasks(tasks)
 	}
-	for _, p := range pairs {
-		ln, rn := st.nodes[p.left], st.nodes[p.right]
-		lw, rw := &st.t.Nodes[p.left], &st.t.Nodes[p.right]
-		lw.SumG, lw.SumH, lw.Count = ln.sum.G, ln.sum.H, ln.count
-		rw.SumG, rw.SumH, rw.Count = rn.sum.G, rn.sum.H, rn.count
-		lw.Weight = b.cfg.Params.CalcWeight(ln.sum.G, ln.sum.H)
-		rw.Weight = b.cfg.Params.CalcWeight(rn.sum.G, rn.sum.H)
+	for i := range xs {
+		for c, ns := range xs[i].kids {
+			st.writeStats(xs[i].ids[c], ns)
+		}
 	}
-	b.prof.Stop(profile.ApplySplit, tm)
-	sp.End()
-	return pairs
+	return xs
 }
 
-// partitionNode splits the parent's row set between the two children and
-// releases the parent's rows.
-func (b *Builder) partitionNode(st *buildState, p childPair, pool *sched.Pool) {
-	parent := st.nodes[p.parent]
+// partition splits the parent's row set between the two children and
+// releases the parent's rows. A non-nil pool parallelizes inside the node.
+func (b *Builder) partition(x *expansion, pool *sched.Pool) {
+	parent, left, right := x.parent, x.kids[0], x.kids[1]
 	var parentRows engine.RowSet
 	if invariant.Enabled {
 		parentRows = parent.rows
 	}
-	goLeft := engine.GoLeftFunc(b.ds.Binned, parent.split)
-	l, r := engine.Partition(parent.rows, goLeft, pool)
-	ln, rn := st.nodes[p.left], st.nodes[p.right]
-	ln.rows, rn.rows = l, r
-	ln.count, rn.count = int32(l.Len()), int32(r.Len())
+	l, r := engine.Partition(parent.rows, engine.GoLeftFunc(b.ds.Binned, parent.split), pool)
+	left.rows, right.rows = l, r
+	left.count, right.count = int32(l.Len()), int32(r.Len())
 	parent.rows = engine.RowSet{}
 	if invariant.Enabled {
-		invariant.PartitionPermutation(parentRows, l, r, "core.partitionNode")
-		invariant.SplitConservation(parent.sum, ln.sum, rn.sum, "core.partitionNode")
+		invariant.PartitionPermutation(parentRows, l, r, "core.partition")
+		invariant.SplitConservation(parent.sum, left.sum, right.sum, "core.partition")
 	}
 }
 
-// planHists decides which children need histograms and how to obtain them.
-// It returns the nodes to build directly, the subtraction steps to apply
+// histPlan says how the two children of one expansion get histograms.
+type histPlan struct {
+	// need marks the children that can split further: they must end up
+	// with a histogram and have their best split evaluated.
+	need  [2]bool
+	build [2]bool // accumulate this child's histogram from its rows
+	small int     // the child with fewer rows
+	// subtract derives the bigger child's histogram as parent minus the
+	// (built) smaller one, consuming the parent's histogram; when false
+	// the parent's histogram is simply released.
+	subtract bool
+}
+
+// planHist is the histogram rule. Whenever the bigger child needs a
+// histogram and the parent's is still alive, build the smaller child and
+// subtract (cheaper than scanning the bigger child's rows): that covers
+// lNeed && rNeed as well as the bigger child alone. Otherwise build what
+// is needed from rows.
+func planHist(need [2]bool, small int, parentAlive bool) histPlan {
+	p := histPlan{need: need, build: need, small: small}
+	if parentAlive && need[1-small] {
+		p.build, p.subtract = [2]bool{small == 0, small == 1}, true
+	}
+	return p
+}
+
+// planFor applies planHist to a partitioned expansion and records the plan
+// in it.
+func (b *Builder) planFor(x *expansion) histPlan {
+	small := 0
+	if x.kids[0].count > x.kids[1].count {
+		small = 1
+	}
+	need := [2]bool{b.canSplit(x.kids[0], x.depth), b.canSplit(x.kids[1], x.depth)}
+	x.plan = planHist(need, small, !b.cfg.DisableSubtraction && x.parent.hist != nil)
+	return x.plan
+}
+
+// planHists plans a batch and turns the plans into the barrier phases'
+// work lists: the nodes to build directly, the expansions to subtract in
 // after building, and the nodes whose splits must then be evaluated.
-// Parent histograms are released here when they will not be consumed by a
-// subtraction.
-func (b *Builder) planHists(st *buildState, pairs []childPair) (buildIDs []int32, subs []subTask, evalIDs []int32) {
-	for _, p := range pairs {
-		ln, rn := st.nodes[p.left], st.nodes[p.right]
-		lNeed := b.canSplit(st, p.left)
-		rNeed := b.canSplit(st, p.right)
-		parent := st.nodes[p.parent]
-		if !lNeed && !rNeed {
-			b.releaseHist(parent)
-			continue
+// Parent histograms no subtraction will consume are released here.
+func (b *Builder) planHists(xs []expansion) (buildIDs []int32, subs []*expansion, evalIDs []int32) {
+	for i := range xs {
+		x := &xs[i]
+		p := b.planFor(x)
+		for c, id := range x.ids {
+			if p.build[c] {
+				buildIDs = append(buildIDs, id)
+			}
+			if p.need[c] {
+				evalIDs = append(evalIDs, id)
+			}
 		}
-		small, big := p.left, p.right
-		if ln.count > rn.count {
-			small, big = p.right, p.left
-		}
-		useSub := !b.cfg.DisableSubtraction && parent.hist != nil
-		switch {
-		case lNeed && rNeed:
-			if useSub {
-				buildIDs = append(buildIDs, small)
-				subs = append(subs, subTask{parent: p.parent, built: small, sibling: big})
-			} else {
-				buildIDs = append(buildIDs, p.left, p.right)
-				b.releaseHist(parent)
-			}
-			evalIDs = append(evalIDs, p.left, p.right)
-		default:
-			need := p.left
-			if rNeed {
-				need = p.right
-			}
-			if useSub && need == big {
-				// Building the smaller child and subtracting is cheaper
-				// than scanning the bigger child's rows.
-				buildIDs = append(buildIDs, small)
-				subs = append(subs, subTask{parent: p.parent, built: small, sibling: big, dropBuilt: true})
-			} else {
-				buildIDs = append(buildIDs, need)
-				b.releaseHist(parent)
-			}
-			evalIDs = append(evalIDs, need)
+		if p.subtract {
+			subs = append(subs, x)
+		} else {
+			b.releaseHist(x.parent)
 		}
 	}
 	return buildIDs, subs, evalIDs
 }
 
-// subTask is one histogram subtraction: sibling = parent - built.
-type subTask struct {
-	parent, built, sibling int32
-	// dropBuilt releases the built child's histogram after subtracting
-	// (the built child itself did not need a histogram).
-	dropBuilt bool
-}
-
-// applySubtractions performs the planned subtractions, transferring the
-// parent histogram to the sibling.
-func (b *Builder) applySubtractions(st *buildState, subs []subTask) {
+// applySubtractions performs the planned subtractions in one parallel
+// region.
+func (b *Builder) applySubtractions(subs []*expansion) {
 	if len(subs) == 0 {
 		return
 	}
-	sp := obs.StartSpan("phase", "SubHist")
-	prevPhase := b.acc.SetPhase(perf.PhaseBuildHist)
-	defer b.acc.SetPhase(prevPhase)
-	tm := profile.StartTimer()
+	defer b.beginPhase(profile.BuildHist, obs.StartSpan("phase", "SubHist")).end()
 	tasks := make([]func(int), len(subs))
 	for i := range subs {
-		s := subs[i]
+		x := subs[i]
 		tasks[i] = func(w int) {
 			tsp := obs.StartSpanTID("block-task", "sub-hist", w+1)
-			defer tsp.End()
-			parent := st.nodes[s.parent]
-			built := st.nodes[s.built]
-			sib := st.nodes[s.sibling]
-			var parentCopy *histogram.Hist
-			if invariant.Enabled {
-				parentCopy = parent.hist.Clone()
-			}
-			parent.hist.SubHist(built.hist)
-			sib.hist = parent.hist
-			parent.hist = nil
-			if invariant.Enabled {
-				invariant.HistConservation(parentCopy, built.hist, sib.hist, "core.applySubtractions")
-			}
-			if s.dropBuilt {
-				b.hpool.Put(built.hist)
-				built.hist = nil
-			}
+			b.subtractHist(x)
+			tsp.End()
 		}
 	}
 	b.pool.RunTasks(tasks)
-	b.prof.Stop(profile.BuildHist, tm)
-	sp.End()
 }
 
-// canSplit reports whether node id can possibly be split further.
-func (b *Builder) canSplit(st *buildState, id int32) bool {
-	ns := st.nodes[id]
+// subtractHist carries out x.plan.subtract: the parent's histogram minus
+// the built smaller child's, in place, becomes the bigger child's.
+func (b *Builder) subtractHist(x *expansion) {
+	parent, built, sibling := x.parent, x.kids[x.plan.small], x.kids[1-x.plan.small]
+	var parentCopy *histogram.Hist
+	if invariant.Enabled {
+		parentCopy = parent.hist.Clone()
+	}
+	parent.hist.SubHist(built.hist)
+	sibling.hist, parent.hist = parent.hist, nil
+	if invariant.Enabled {
+		invariant.HistConservation(parentCopy, built.hist, sibling.hist, "core.subtractHist")
+	}
+	if !x.plan.need[x.plan.small] {
+		b.releaseHist(built) // built only to be subtracted
+	}
+}
+
+// canSplit reports whether a node at the given depth can possibly be
+// split further.
+func (b *Builder) canSplit(ns *nodeState, depth int32) bool {
 	if ns.count < 2 {
 		return false
 	}
 	if ns.sum.H < 2*b.cfg.Params.MinChildWeight {
 		return false
 	}
-	if lim := b.cfg.DepthLimit(); lim > 0 && int(st.t.Nodes[id].Depth) >= lim {
+	if lim := b.cfg.DepthLimit(); lim > 0 && int(depth) >= lim {
 		return false
 	}
 	return true
@@ -457,12 +516,12 @@ func (b *Builder) pushOrFinalize(st *buildState, id int32) {
 		b.releaseHist(ns)
 		return
 	}
-	st.queue.Push(grow.Candidate{
-		NodeID: id,
-		Gain:   ns.split.Gain,
-		Depth:  st.t.Nodes[id].Depth,
-		Count:  ns.count,
-	})
+	st.queue.Push(candidate(id, ns, st.t.Nodes[id].Depth))
+}
+
+// candidate is the queue entry of a node whose best split is known.
+func candidate(id int32, ns *nodeState, depth int32) grow.Candidate {
+	return grow.Candidate{NodeID: id, Gain: ns.split.Gain, Depth: depth, Count: ns.count}
 }
 
 // drainQueue finalizes all still-queued candidates as leaves.
@@ -490,10 +549,7 @@ func (b *Builder) findSplitBatch(st *buildState, ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
-	sp := obs.StartSpan("phase", "FindSplit")
-	prevPhase := b.acc.SetPhase(perf.PhaseFindSplit)
-	defer b.acc.SetPhase(prevPhase)
-	tm := profile.StartTimer()
+	defer b.beginPhase(profile.FindSplit, obs.StartSpan("phase", "FindSplit")).end()
 	nb := b.blocks.NumBlocks()
 	results := make([]tree.SplitInfo, len(ids)*nb)
 	tasks := make([]func(int), 0, len(ids)*nb)
@@ -521,8 +577,6 @@ func (b *Builder) findSplitBatch(st *buildState, ids []int32) {
 		}
 		st.nodes[id].split = best
 	}
-	b.prof.Stop(profile.FindSplit, tm)
-	sp.End()
 }
 
 // finish assembles the BuiltTree and releases remaining resources.

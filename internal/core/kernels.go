@@ -4,7 +4,6 @@ import (
 	"harpgbdt/internal/histogram"
 	"harpgbdt/internal/invariant"
 	"harpgbdt/internal/obs"
-	"harpgbdt/internal/perf"
 	"harpgbdt/internal/profile"
 )
 
@@ -42,10 +41,7 @@ func (b *Builder) buildHistBatch(st *buildState, ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
-	sp := obs.StartSpan("phase", "BuildHist")
-	prevPhase := b.acc.SetPhase(perf.PhaseBuildHist)
-	defer b.acc.SetPhase(prevPhase)
-	tm := profile.StartTimer()
+	defer b.beginPhase(profile.BuildHist, obs.StartSpan("phase", "BuildHist")).end()
 	mode := b.cfg.Mode
 	if mode == Sync || mode == Async {
 		// Mixed mode (DP, MP, DP): model parallelism needs enough
@@ -68,8 +64,6 @@ func (b *Builder) buildHistBatch(st *buildState, ids []int32) {
 			invariant.HistFeatureTotals(st.nodes[id].hist, st.nodes[id].sum, "core.buildHistBatch")
 		}
 	}
-	b.prof.Stop(profile.BuildHist, tm)
-	sp.End()
 }
 
 // accumulate adds rows [lo, hi) of node state ns into h for feature block fb

@@ -166,6 +166,19 @@ func TestAsyncScheduleChecker(t *testing.T) {
 			len(distinct), builds, wantDistinct)
 	}
 	t.Logf("schedule checker: %d distinct interleavings over %d builds, all invariants held", len(distinct), builds)
+
+	// The virtual driver takes the same steps in discrete-event order:
+	// two more schedules, held to the same invariants. (At 32 workers the
+	// queue never fills the machine and the warm-up grows the whole tree.)
+	for _, vw := range []int{3, 32} {
+		cfg := schedCheckConfig(vw)
+		cfg.Virtual = true
+		tr := buildWith(t, cfg, ds, grad)
+		if !treesEquivalent(ref, tr) {
+			t.Fatalf("virtual %d workers: tree differs from the single-worker real reference", vw)
+		}
+		checkConservation(t, tr, rows, uint64(vw))
+	}
 }
 
 // TestAsyncScheduleReplay pins determinism of the harness itself: the same

@@ -12,37 +12,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"harpgbdt/internal/perf"
 	"harpgbdt/internal/sched"
 )
 
-// Phase identifies one of the core tree-building functions.
-type Phase int
+// Phase is the repo's one phase enum, owned by perf (a leaf package the
+// scheduler can import); the names below are the training phases a
+// Breakdown tracks.
+type Phase = perf.Phase
 
 // The tracked phases. Other covers queue maintenance, gradient prep and
-// everything else outside the three core functions.
+// everything else outside the three core functions. perf.PhasePredict lies
+// past numPhases: a Breakdown has no inference row.
 const (
-	BuildHist Phase = iota
-	FindSplit
-	ApplySplit
-	Other
-	numPhases
+	BuildHist  = perf.PhaseBuildHist
+	FindSplit  = perf.PhaseFindSplit
+	ApplySplit = perf.PhaseApplySplit
+	Other      = perf.PhaseOther
+	numPhases  = Other + 1
 )
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case BuildHist:
-		return "BuildHist"
-	case FindSplit:
-		return "FindSplit"
-	case ApplySplit:
-		return "ApplySplit"
-	case Other:
-		return "Other"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
 
 // Breakdown accumulates time per phase. Adds are atomic so concurrent
 // workers (ASYNC mode) can record into one breakdown; in barrier-structured

@@ -376,9 +376,10 @@ func (p *Pool) RunWorkers(body func(worker int)) {
 	nw := p.workers
 	if p.virtual {
 		// Virtual pools never express shared-queue parallelism through
-		// RunWorkers — the ASYNC engine runs its own discrete-event
-		// simulation instead (core.buildAsyncVirtual). Running the bodies
-		// sequentially here keeps the call safe if it happens anyway.
+		// RunWorkers: the ASYNC engine steps its worker loop from a
+		// discrete-event clock itself and reports the region through
+		// RecordExternalRegion. Running the bodies sequentially here keeps
+		// the call safe if it happens anyway.
 		p.runVirtual(nw, func(i, w int) { body(w) })
 		return
 	}
