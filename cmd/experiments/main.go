@@ -1,9 +1,11 @@
 // Command experiments regenerates the paper's tables and figures as
 // plain-text tables. Each experiment is named after the paper artifact it
-// reproduces (fig4, table1, ... fig16); `all` runs everything. Beyond the
-// paper artifacts it hosts the machine-readable CI gates: bench/benchdiff
-// (training throughput), comms, efficiency, chaos, and loadgen/servediff
-// (the serving soak and its regression gate).
+// reproduces (fig4, table1, ... fig16); `all` runs every one of them.
+// Beyond the paper artifacts it hosts the studies that run on the virtual
+// machine or the simulated cluster — bench, comms, efficiency, chaos — and
+// benchdiff, the structural gate over bench's deterministic counts. It
+// judges no timing: that is the repo benchmark's job (`go run ./benchmark`,
+// `go run ./benchmark compare`; see benchmark/README.md).
 //
 // Usage:
 //
@@ -19,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"harpgbdt/internal/experiments"
@@ -36,7 +39,7 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runs to this file")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /progress and /debug/pprof on this address while experiments run")
-		benchOut   = flag.String("bench-out", "", "output path of the bench experiment's JSON report (default BENCH_<date>.json)")
+		benchOut   = flag.String("bench-out", "", "write the bench experiment's JSON report to this file (default: print the table only)")
 		perfOn     = flag.Bool("perf", false, "attach the per-worker wait-state profiler to the bench run (adds a perf section to the JSON report)")
 		distNodes  = flag.Int("dist-nodes", 0, "run the bench experiment on the simulated cluster with this many nodes (adds a comms section to the JSON report)")
 		commsOut   = flag.String("comms-out", "comms.json", "output path of the comms experiment's JSON report")
@@ -47,35 +50,42 @@ func main() {
 		chaosDir   = flag.String("chaos-dir", "chaos-work", "chaos: working directory for per-scenario checkpoints and flight dumps")
 		chaosOut   = flag.String("chaos-out", "chaos.json", "chaos: output path of the soak report")
 		chaosRe    = flag.Uint64("chaos-replay", 0, "chaos: replay exactly this seed instead of the sweep (bit-for-bit)")
-		diffRuns   = flag.Int("diff-runs", 2, "benchdiff: benchmark repetitions (the best run is compared)")
-		tolRatio   = flag.Float64("tol", 0, "benchdiff: relative tolerance on measured ratios (0 = default 0.35)")
-		tolTime    = flag.Float64("time-tol", 0, "benchdiff: relative ns/row regression tolerance (0 = wall time not gated)")
-		servOut    = flag.String("serving-out", "serving.json", "loadgen: output path of the serving soak report")
-		servBase   = flag.String("serving-baseline", "SERVING_baseline.json", "servediff: committed serving baseline to compare against")
-		servRPS    = flag.Float64("rps", 0, "loadgen: offered request rate (0 = default 200)")
-		servDur    = flag.Float64("serve-duration", 0, "loadgen: soak seconds (0 = default 3)")
-		servWarm   = flag.Float64("serve-warmup", 0, "loadgen: warmup seconds excluded from quantiles (0 = default 0.5)")
-		servBatch  = flag.Int("serve-batch", 0, "loadgen: rows per request (0 = default 16)")
-		servWrk    = flag.Int("serve-workers", 0, "loadgen: serving pool width (0 = default 2)")
 	)
 	flag.Parse()
+	sc := experiments.Scale{
+		Rows: *rows, Rounds: *rounds, ConvRounds: *convRounds,
+		Workers: *workers, Seed: *seed, RealThreads: *real, Perf: *perfOn,
+		DistNodes: *distNodes,
+	}
+	// The one table of runnable names: -list, the usage text and the
+	// dispatch below all read it. The paper artifacts come first, from the
+	// experiments registry; the hosted studies and the gate follow.
+	var cmds []subcommand
+	for _, name := range experiments.Names() {
+		cmds = append(cmds, subcommand{name, func() error { return runExperiment(name, sc) }})
+	}
+	cmds = append(cmds,
+		subcommand{"bench", func() error { return runBench(sc, *benchOut) }},
+		subcommand{"benchdiff", func() error { return runBenchDiff(*baseline) }},
+		subcommand{"chaos", func() error {
+			return runChaos(sc, experiments.ChaosConfig{
+				N: *chaosN, BaseSeed: *chaosSeed, Nodes: *distNodes,
+				Dir: *chaosDir, ReplaySeed: *chaosRe,
+			}, *chaosOut)
+		}},
+		subcommand{"comms", func() error { return runComms(sc, *commsOut) }},
+		subcommand{"efficiency", func() error { return runEfficiency(sc, *effOut) }},
+	)
 	if *list {
-		for _, n := range experiments.Names() {
-			fmt.Println(n)
+		for _, c := range cmds {
+			fmt.Println(c.name)
 		}
-		fmt.Println("bench")
-		fmt.Println("benchdiff")
-		fmt.Println("chaos")
-		fmt.Println("comms")
-		fmt.Println("efficiency")
-		fmt.Println("loadgen")
-		fmt.Println("servediff")
 		return
 	}
 	names := flag.Args()
 	if len(names) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <experiment ...|all|bench>")
-		fmt.Fprintln(os.Stderr, "experiments:", experiments.Names())
+		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <name ...|all>")
+		fmt.Fprintln(os.Stderr, "names:", cmdNames(cmds))
 		os.Exit(2)
 	}
 	if len(names) == 1 && names[0] == "all" {
@@ -95,43 +105,14 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("observability server on http://%s (metrics, progress, debug/pprof)\n", srv.Addr())
 	}
-	sc := experiments.Scale{
-		Rows: *rows, Rounds: *rounds, ConvRounds: *convRounds,
-		Workers: *workers, Seed: *seed, RealThreads: *real, Perf: *perfOn,
-		DistNodes: *distNodes,
-	}
 	for _, name := range names {
 		start := time.Now()
-		var err error
-		switch name {
-		case "bench":
-			err = runBench(sc, *benchOut)
-		case "comms":
-			err = runComms(sc, *commsOut)
-		case "efficiency":
-			err = runEfficiency(sc, *effOut)
-		case "benchdiff":
-			err = runBenchDiff(sc, *baseline, *diffRuns, *tolRatio, *tolTime)
-		case "loadgen":
-			err = runLoadGen(sc, experiments.ServingConfig{
-				RPS: *servRPS, DurationSec: *servDur, WarmupSec: *servWarm,
-				BatchRows: *servBatch, Workers: *servWrk,
-			}, *servOut)
-		case "servediff":
-			err = runServeDiff(*servBase, *diffRuns, *servOut)
-		case "chaos":
-			err = runChaos(sc, experiments.ChaosConfig{
-				N: *chaosN, BaseSeed: *chaosSeed, Nodes: *distNodes,
-				Dir: *chaosDir, ReplaySeed: *chaosRe,
-			}, *chaosOut)
-		default:
-			var tables []*experiments.Table
-			tables, err = runExperiment(name, sc)
-			for _, tb := range tables {
-				fmt.Println(tb.String())
-			}
+		i := slices.IndexFunc(cmds, func(c subcommand) bool { return c.name == name })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %v)\n", name, cmdNames(cmds))
+			os.Exit(1)
 		}
-		if err != nil {
+		if err := cmds[i].run(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -146,8 +127,27 @@ func main() {
 	}
 }
 
-func runExperiment(name string, sc experiments.Scale) ([]*experiments.Table, error) {
-	return experiments.Run(name, sc)
+// subcommand is one name the command line accepts and what it runs.
+type subcommand struct {
+	name string
+	run  func() error
+}
+
+func cmdNames(cmds []subcommand) []string {
+	names := make([]string, len(cmds))
+	for i, c := range cmds {
+		names[i] = c.name
+	}
+	return names
+}
+
+// runExperiment runs one paper artifact and prints its tables.
+func runExperiment(name string, sc experiments.Scale) error {
+	tables, err := experiments.Run(name, sc)
+	for _, tb := range tables {
+		fmt.Println(tb.String())
+	}
+	return err
 }
 
 // runEfficiency runs the parallel-efficiency sweep, prints the per-worker
@@ -167,82 +167,27 @@ func runEfficiency(sc experiments.Scale, out string) error {
 	return nil
 }
 
-// runBenchDiff is the regression gate: re-run the benchmark at the
-// committed baseline's scale and fail on drift beyond tolerance.
-func runBenchDiff(sc experiments.Scale, baselinePath string, runs int, tolRatio, tolTime float64) error {
+// runBenchDiff is the structural regression gate: re-run the bench at the
+// committed baseline's scale and fail on drift of the counts the virtual
+// machine determines (see EXPERIMENTS.md, "How a change is judged").
+func runBenchDiff(baselinePath string) error {
 	base, err := experiments.LoadBenchReport(baselinePath)
 	if err != nil {
 		return fmt.Errorf("load baseline: %w", err)
 	}
-	tol := experiments.DefaultBenchTolerance()
-	if tolRatio > 0 {
-		tol.Ratio = tolRatio
-	}
-	tol.Time = tolTime
-	cur, bad, err := experiments.BenchGate(base, runs, tol)
+	cur, bad, err := experiments.BenchGate(base, experiments.DefaultBenchTolerance())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("benchdiff: baseline %s (%s), best of %d runs: %.3fs train, %.1f ns/row\n",
-		baselinePath, base.Date, runs, cur.TrainSeconds, cur.NsPerRow)
+	fmt.Printf("benchdiff: baseline %s (%s): %d leaves, %.1f regions/tree, %.1f tasks/tree, train AUC %.4f\n",
+		baselinePath, base.Date, cur.Leaves, cur.RegionsPerTree, cur.TasksPerTree, cur.TrainAUC)
 	if len(bad) > 0 {
 		for _, m := range bad {
 			fmt.Fprintln(os.Stderr, "benchdiff FAIL:", m)
 		}
-		return fmt.Errorf("%d benchmark regression(s) against %s", len(bad), baselinePath)
+		return fmt.Errorf("%d structural regression(s) against %s", len(bad), baselinePath)
 	}
 	fmt.Println("benchdiff: no regressions")
-	return nil
-}
-
-// runLoadGen runs the serving soak: train, compile, arm /predict, hit it
-// with open-loop Poisson load, and write the serving report.
-func runLoadGen(sc experiments.Scale, cfg experiments.ServingConfig, out string) error {
-	rep, tb, err := experiments.Serving(sc, cfg)
-	if err != nil {
-		return err
-	}
-	rep.Date = time.Now().Format("2006-01-02")
-	fmt.Println(tb.String())
-	if err := rep.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("serving report written to %s\n", out)
-	return nil
-}
-
-// runServeDiff is the serving regression gate: re-run the soak at the
-// committed baseline's scale and fail on drift beyond tolerance. A
-// missing baseline file skips the gate with a note, so the gate can land
-// before its first baseline is committed.
-func runServeDiff(baselinePath string, runs int, out string) error {
-	base, err := experiments.LoadServingReport(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("servediff: no baseline at %s, skipping (run loadgen and commit the report to arm the gate)\n", baselinePath)
-			return nil
-		}
-		return fmt.Errorf("load baseline: %w", err)
-	}
-	cur, bad, err := experiments.ServeGate(base, runs, experiments.DefaultServingTolerance())
-	if err != nil {
-		return err
-	}
-	cur.Date = time.Now().Format("2006-01-02")
-	if out != "" {
-		if err := cur.WriteFile(out); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("servediff: baseline %s (%s), best of %d runs: p99 %.2fms, kernel %.0f ns/row, speedup %.2fx\n",
-		baselinePath, base.Date, runs, cur.P99*1e3, cur.KernelNsPerRow, cur.Speedup)
-	if len(bad) > 0 {
-		for _, m := range bad {
-			fmt.Fprintln(os.Stderr, "servediff FAIL:", m)
-		}
-		return fmt.Errorf("%d serving regression(s) against %s", len(bad), baselinePath)
-	}
-	fmt.Println("servediff: no regressions")
 	return nil
 }
 
@@ -297,18 +242,19 @@ func runChaos(sc experiments.Scale, cc experiments.ChaosConfig, out string) erro
 	return nil
 }
 
-// runBench runs the throughput benchmark and writes the machine-readable
-// report next to the printed summary.
+// runBench runs the bench experiment and prints its summary; with
+// -bench-out it also writes the machine-readable report (the file `make
+// baseline` commits as BENCH_baseline.json).
 func runBench(sc experiments.Scale, out string) error {
 	rep, tb, err := experiments.Bench(sc)
 	if err != nil {
 		return err
 	}
-	rep.Date = time.Now().Format("2006-01-02")
-	if out == "" {
-		out = "BENCH_" + rep.Date + ".json"
-	}
 	fmt.Println(tb.String())
+	if out == "" {
+		return nil
+	}
+	rep.Date = time.Now().Format("2006-01-02")
 	if err := rep.WriteFile(out); err != nil {
 		return err
 	}

@@ -454,35 +454,48 @@ func cmdServe(args []string) error {
 	}
 	harpgbdt.SetDefaultLogger(lg)
 	defer harpgbdt.SetDefaultLogger(nil)
-	m, err := harpgbdt.LoadModel(*modelPath)
-	if err != nil {
-		return err
-	}
-	flat, err := harpgbdt.CompileModel(m)
-	if err != nil {
-		return err
-	}
-	svc, err := harpgbdt.NewPredictService(flat, harpgbdt.ServeConfig{
+	srv, svc, err := armServe(*modelPath, *addr, harpgbdt.ServeConfig{
 		QueueDepth: *queue, MaxBatchRows: *batch, Lanes: *lanes, Workers: *workers,
 	})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
-	srv, err := harpgbdt.ServeObs(*addr, harpgbdt.NewObserver())
-	if err != nil {
-		return err
-	}
 	defer srv.Close()
-	srv.Mount("/predict", svc)
-	srv.SetReady(svc.Ready)
-	fmt.Printf("serving %s (%d trees, %d nodes, %d KiB compiled) on http://%s/predict\n",
-		*modelPath, flat.NumTrees(), flat.NumNodes(), flat.Bytes()/1024, srv.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
 	return nil
+}
+
+// armServe is the serving composition: load and compile the model, start
+// the prediction service, and put it on an observability server at addr
+// with /predict mounted and /readyz following the service. It announces
+// the bound address; the caller closes the server, then the service.
+func armServe(modelPath, addr string, cfg harpgbdt.ServeConfig) (*harpgbdt.ObsServer, *harpgbdt.PredictService, error) {
+	m, err := harpgbdt.LoadModel(modelPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	flat, err := harpgbdt.CompileModel(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	svc, err := harpgbdt.NewPredictService(flat, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv, err := harpgbdt.ServeObs(addr, harpgbdt.NewObserver())
+	if err != nil {
+		svc.Close()
+		return nil, nil, err
+	}
+	srv.Mount("/predict", svc)
+	srv.SetReady(svc.Ready)
+	fmt.Printf("serving %s (%d trees, %d nodes, %d KiB compiled) on http://%s/predict\n",
+		modelPath, flat.NumTrees(), flat.NumNodes(), flat.Bytes()/1024, srv.Addr())
+	return srv, svc, nil
 }
 
 func cmdStats(args []string) error {

@@ -1,15 +1,21 @@
 package main
 
 // CLI integration tests: the binary is built once per test run and driven
-// through a full train / eval / predict / importance / dump / cv / stats
-// workflow on generated data.
+// through a full train / eval / predict / importance / dump / cv / stats /
+// serve workflow on generated data.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"harpgbdt"
@@ -97,6 +103,126 @@ func TestCLIWorkflow(t *testing.T) {
 	out = runCLI(t, bin, "cv", "-synth", "higgs", "-rows", "1200", "-folds", "2", "-trees", "3", "-d", "4")
 	if !strings.Contains(out, "cv AUC") {
 		t.Fatalf("cv output: %s", out)
+	}
+
+	serveLeg(t, bin, model)
+}
+
+// serveLeg drives `harpgbdt serve`, the one production composition of the
+// prediction service (load, compile, /predict mounted on the obs server,
+// readiness probe, signal shutdown): the answer over HTTP must equal
+// Model.Predict bit for bit, a malformed request must be refused, and
+// SIGTERM must end the process cleanly.
+func serveLeg(t *testing.T, bin, model string) {
+	t.Helper()
+	cmd := exec.Command(bin, "serve", "-model", model, "-addr", "127.0.0.1:0", "-log-level", "error")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() // an error once the process has exited; harmless
+
+	// "serving <model> (...) on http://127.0.0.1:<port>/predict"
+	out := bufio.NewReader(stdout)
+	line, err := out.ReadString('\n')
+	i := strings.Index(line, "http://")
+	if err != nil || !strings.HasPrefix(line, "serving ") || i < 0 {
+		t.Fatalf("no serving line: %q (%v)\n%s", line, err, stderr.String())
+	}
+	predictURL := strings.TrimSpace(line[i:])
+	base := strings.TrimSuffix(predictURL, "/predict")
+
+	readyz := func(root string) int {
+		resp, err := http.Get(root + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := readyz(base); code != http.StatusOK {
+		t.Fatalf("/readyz = %d, want 200", code)
+	}
+
+	// One row the model never trained on (another seed's population); the
+	// first without a missing value, which JSON cannot carry.
+	_, testX, _, err := harpgbdt.SynthesizeTrainTest(harpgbdt.SynthConfig{
+		Spec: harpgbdt.HiggsLike, Rows: 200, Seed: 99}, 100, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row []float32
+	for i := 0; i < testX.N && row == nil; i++ {
+		r := testX.Values[i*testX.M : (i+1)*testX.M]
+		if !slices.ContainsFunc(r, func(v float32) bool { return v != v }) {
+			row = r
+		}
+	}
+	if row == nil {
+		t.Fatal("no held-out row without a missing value")
+	}
+	post := func(rows [][]float32) (int, []byte) {
+		body, err := json.Marshal(map[string][][]float32{"rows": rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(predictURL, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	code, data := post([][]float32{row})
+	var got struct {
+		Predictions []float64 `json:"predictions"`
+	}
+	if code != http.StatusOK || json.Unmarshal(data, &got) != nil || len(got.Predictions) != 1 {
+		t.Fatalf("/predict = %d %s", code, data)
+	}
+	m, err := harpgbdt.LoadModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Predict(row); got.Predictions[0] != want {
+		t.Fatalf("/predict answered %v, Model.Predict says %v", got.Predictions[0], want)
+	}
+	if code, data := post([][]float32{row[:len(row)-1]}); code != http.StatusBadRequest {
+		t.Fatalf("short row = %d %s, want 400", code, data)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(out) // ends when the process closes its stdout
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("serve did not exit 0 on SIGTERM: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(string(rest), "shutting down") {
+		t.Fatalf("no shutdown line before exit: %q", rest)
+	}
+
+	// That /readyz follows the service cannot be seen from outside the
+	// process: a server without a probe answers 200 too, and cmdServe
+	// closes the listener before the service. So arm cmdServe's own
+	// composition in process and close the service under the live server.
+	srv, svc, err := armServe(model, "127.0.0.1:0", harpgbdt.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	svc.Close()
+	if code := readyz("http://" + srv.Addr()); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d with the service closed, want 503", code)
 	}
 }
 

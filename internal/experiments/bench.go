@@ -16,11 +16,13 @@ import (
 	"harpgbdt/internal/synth"
 )
 
-// BenchReport is the machine-readable benchmark record emitted by
-// `experiments bench -bench-out BENCH_<date>.json`: end-to-end throughput
-// of the paper's recommended configuration plus the phase breakdown and
-// scheduler/contention counters needed to compare runs across commits and
-// machines. Fields with a fixed unit carry it in the name.
+// BenchReport is the machine-readable record of one `experiments bench`
+// run: the configuration that replays it plus the quantities the run
+// determines structurally — model shape, AUC, scheduler counts and the
+// analytic comms ledger. It carries nothing read off a clock: the
+// structural gate (DiffBench) has no use for it, and timings are judged
+// by the repo benchmark (benchmark/), on real threads. The summary table
+// Bench prints still shows the run's timings for a human reader.
 type BenchReport struct {
 	// Date is the run date (YYYY-MM-DD); the caller stamps it (the
 	// experiments package itself never reads the clock for results).
@@ -42,36 +44,16 @@ type BenchReport struct {
 	// DistNodes is the simulated cluster size of a distributed run (0 =
 	// single-node engine).
 	DistNodes int `json:"dist_nodes,omitempty"`
-	// Headline numbers: total tree-building time, the paper's per-tree
-	// metric, and row throughput (rows x rounds / train_seconds). NsPerRow
-	// is the machine-normalized form the regression gate prefers over raw
-	// wall time (it divides out the dataset scale).
-	TrainSeconds float64 `json:"train_seconds"`
-	MsPerTree    float64 `json:"ms_per_tree"`
-	RowsPerSec   float64 `json:"rows_per_sec"`
-	NsPerRow     float64 `json:"ns_per_row"`
-	// Phase breakdown (BuildHist / FindSplit / ApplySplit / Other), as
-	// absolute seconds and as fractions of the total.
-	PhaseSeconds   map[string]float64 `json:"phase_seconds"`
-	PhaseFractions map[string]float64 `json:"phase_fractions"`
-	// Scheduler analogs of the paper's VTune measurements.
-	Utilization     float64 `json:"utilization"`
-	BarrierOverhead float64 `json:"barrier_overhead"`
-	RegionsPerTree  float64 `json:"regions_per_tree"`
-	TasksPerTree    float64 `json:"tasks_per_tree"`
-	// SpinMutex contention over the run (delta of the process-wide
-	// counters, so only meaningful for single-run processes).
-	SpinContendedAcquires int64   `json:"spinmutex_contended_acquires"`
-	SpinGoschedYields     int64   `json:"spinmutex_gosched_yields"`
-	SpinSeconds           float64 `json:"spinmutex_spin_seconds"`
+	// Scheduler counts: parallel regions and tasks per tree.
+	RegionsPerTree float64 `json:"regions_per_tree"`
+	TasksPerTree   float64 `json:"tasks_per_tree"`
 	// Perf is the per-worker wait-state report (present when the run had
 	// Scale.Perf set).
 	Perf *perf.Report `json:"perf,omitempty"`
 	// Comms is the distributed run's message/byte ledger (present when the
 	// run had Scale.DistNodes > 0).
 	Comms *dist.CommsReport `json:"comms,omitempty"`
-	// Model quality and shape, to catch silent correctness regressions in
-	// a perf diff.
+	// Model quality and shape, to catch silent correctness regressions.
 	TrainAUC float64 `json:"train_auc"`
 	Leaves   int     `json:"leaves"`
 	MaxDepth int     `json:"max_depth"`
@@ -133,34 +115,20 @@ func Bench(sc Scale) (*BenchReport, *profile.Table, error) {
 	}
 	spin1 := sched.ReadSpinStats()
 	rep := res.Report(b)
-	trainSec := res.TrainTime.Seconds()
 	r := &BenchReport{
-		GoMaxProcs:            runtime.GOMAXPROCS(0),
-		Workers:               b.Pool().Workers(),
-		Virtual:               !sc.RealThreads,
-		Dataset:               ds.Name,
-		Rows:                  ds.NumRows(),
-		Features:              ds.NumFeatures(),
-		Rounds:                len(res.PerTree),
-		Seed:                  sc.Seed,
-		Engine:                b.Name(),
-		TrainSeconds:          trainSec,
-		MsPerTree:             ms(res.AvgTreeTime()),
-		PhaseSeconds:          map[string]float64{},
-		PhaseFractions:        map[string]float64{},
-		Utilization:           rep.Utilization(),
-		BarrierOverhead:       rep.BarrierOverhead(),
-		RegionsPerTree:        perTree(rep.Sched.Regions, rep.Trees),
-		TasksPerTree:          perTree(rep.Sched.Tasks, rep.Trees),
-		SpinContendedAcquires: spin1.ContendedAcquires - spin0.ContendedAcquires,
-		SpinGoschedYields:     spin1.Yields - spin0.Yields,
-		SpinSeconds:           float64(spin1.SpinNanos-spin0.SpinNanos) / 1e9,
-		Leaves:                res.TotalLeaves,
-		MaxDepth:              res.MaxDepth,
-	}
-	if rowRounds := float64(ds.NumRows()) * float64(len(res.PerTree)); rowRounds > 0 && trainSec > 0 {
-		r.RowsPerSec = rowRounds / trainSec
-		r.NsPerRow = trainSec * 1e9 / rowRounds
+		GoMaxProcs:     runtime.GOMAXPROCS(0),
+		Workers:        b.Pool().Workers(),
+		Virtual:        !sc.RealThreads,
+		Dataset:        ds.Name,
+		Rows:           ds.NumRows(),
+		Features:       ds.NumFeatures(),
+		Rounds:         len(res.PerTree),
+		Seed:           sc.Seed,
+		Engine:         b.Name(),
+		RegionsPerTree: perTree(rep.Sched.Regions, rep.Trees),
+		TasksPerTree:   perTree(rep.Sched.Tasks, rep.Trees),
+		Leaves:         res.TotalLeaves,
+		MaxDepth:       res.MaxDepth,
 	}
 	if cb != nil {
 		if acc := cb.Perf(); acc != nil {
@@ -172,23 +140,23 @@ func Bench(sc Scale) (*BenchReport, *profile.Table, error) {
 		r.DistNodes = sc.DistNodes
 		r.Comms = dt.CommsReport()
 	}
-	for p := profile.BuildHist; p <= profile.Other; p++ {
-		r.PhaseSeconds[p.String()] = float64(rep.Breakdown.Nanos(p)) / 1e9
-		r.PhaseFractions[p.String()] = rep.Breakdown.Fraction(p)
-	}
 	if len(res.History) > 0 {
 		r.TrainAUC = res.History[len(res.History)-1].TrainAUC
 	}
+	// Timings appear in the printed table only, never in the report.
+	trainSec := res.TrainTime.Seconds()
 	tb := profile.NewTable("Benchmark: "+r.Engine+" on "+r.Dataset, "metric", "value")
 	tb.AddRow("rows x rounds", r.Rows*r.Rounds)
-	tb.AddRow("train seconds", r.TrainSeconds)
-	tb.AddRow("ms/tree", r.MsPerTree)
-	tb.AddRow("rows/sec", r.RowsPerSec)
-	tb.AddRow("ns/row", r.NsPerRow)
-	tb.AddRow("utilization", r.Utilization)
-	tb.AddRow("barrier overhead", r.BarrierOverhead)
-	tb.AddRow("spin contended", r.SpinContendedAcquires)
-	tb.AddRow("spin yields", r.SpinGoschedYields)
+	tb.AddRow("train seconds", trainSec)
+	tb.AddRow("ms/tree", ms(res.AvgTreeTime()))
+	if rowRounds := float64(r.Rows) * float64(r.Rounds); rowRounds > 0 && trainSec > 0 {
+		tb.AddRow("rows/sec", rowRounds/trainSec)
+		tb.AddRow("ns/row", trainSec*1e9/rowRounds)
+	}
+	tb.AddRow("utilization", rep.Utilization())
+	tb.AddRow("barrier overhead", rep.BarrierOverhead())
+	tb.AddRow("spin contended", spin1.ContendedAcquires-spin0.ContendedAcquires)
+	tb.AddRow("spin yields", spin1.Yields-spin0.Yields)
 	tb.AddRow("train AUC", r.TrainAUC)
 	if r.Comms != nil {
 		ct := r.Comms.Totals

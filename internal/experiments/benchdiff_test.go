@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,9 +14,6 @@ func diffBase() *BenchReport {
 		Engine:   "harp-ASYNC",
 		TrainAUC: 0.7312, Leaves: 255, MaxDepth: 9,
 		RegionsPerTree: 12.3, TasksPerTree: 410,
-		Utilization: 0.25, BarrierOverhead: 0.45,
-		PhaseFractions: map[string]float64{"BuildHist": 0.6, "FindSplit": 0.2},
-		NsPerRow:       150,
 	}
 }
 
@@ -84,40 +82,6 @@ func TestDiffBenchStructuralCounts(t *testing.T) {
 	wantViolation(t, DiffBench(diffBase(), cur, DefaultBenchTolerance()), "tasks/tree")
 }
 
-// TestDiffBenchRatioNeedsRelativeAndAbsolute: measured ratios only fail
-// when the drift is large both relatively and absolutely, so near-zero
-// fractions don't trip the relative test on noise.
-func TestDiffBenchRatioNeedsRelativeAndAbsolute(t *testing.T) {
-	base := diffBase()
-	base.BarrierOverhead = 0.05
-	cur := diffBase()
-	cur.BarrierOverhead = 0.12 // rel 1.4x but only 0.07 absolute
-	if bad := DiffBench(base, cur, DefaultBenchTolerance()); len(bad) != 0 {
-		t.Errorf("small absolute ratio drift flagged: %v", bad)
-	}
-	cur.BarrierOverhead = 0.70 // big both ways
-	wantViolation(t, DiffBench(base, cur, DefaultBenchTolerance()), "barrier overhead")
-
-	cur = diffBase()
-	cur.PhaseFractions["BuildHist"] = 0.25
-	wantViolation(t, DiffBench(diffBase(), cur, DefaultBenchTolerance()), "phase fraction BuildHist")
-}
-
-func TestDiffBenchWallTimeOptInAndOneSided(t *testing.T) {
-	cur := diffBase()
-	cur.NsPerRow = 400 // 2.7x slower
-	if bad := DiffBench(diffBase(), cur, DefaultBenchTolerance()); len(bad) != 0 {
-		t.Errorf("wall time compared with Time tolerance disabled: %v", bad)
-	}
-	tol := DefaultBenchTolerance()
-	tol.Time = 0.5
-	wantViolation(t, DiffBench(diffBase(), cur, tol), "ns/row")
-	cur.NsPerRow = 50 // faster never fails
-	if bad := DiffBench(diffBase(), cur, tol); len(bad) != 0 {
-		t.Errorf("speedup flagged as regression: %v", bad)
-	}
-}
-
 func TestLoadBenchReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.json")
 	base := diffBase()
@@ -131,8 +95,32 @@ func TestLoadBenchReportRoundTrip(t *testing.T) {
 	if bad := DiffBench(base, got, DefaultBenchTolerance()); len(bad) != 0 {
 		t.Fatalf("round-tripped report differs: %v", bad)
 	}
-	if _, err := LoadBenchReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loading a missing baseline did not error")
+	// Loading is strict: a file the gate cannot compare in full is an
+	// error, never a half-compared baseline.
+	stale := filepath.Join(t.TempDir(), "stale.json")
+	if err := os.WriteFile(stale, []byte(`{"engine": "harp-ASYNC", "leaves": 255, "ns_per_row": 150}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, path, wantErr string }{
+		{"missing file", filepath.Join(t.TempDir(), "missing.json"), "missing.json"},
+		{"stale timing key", stale, "refresh the baseline"},
+	} {
+		if _, err := LoadBenchReport(tc.path); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestCommittedBaselineLoads: the committed BENCH_baseline.json must pass
+// the strict loader (so it holds only keys the gate knows) and describe
+// the gate's canonical configuration.
+func TestCommittedBaselineLoads(t *testing.T) {
+	base, err := LoadBenchReport(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Virtual || base.Workers != 32 || base.Engine != "harp-ASYNC" || base.Leaves == 0 {
+		t.Fatalf("committed baseline is not a virtual 32-worker harp-ASYNC run: %+v", base)
 	}
 }
 
@@ -145,7 +133,7 @@ func TestBenchGateReplaysBaselineScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, _, err := BenchGate(base, 1, DefaultBenchTolerance())
+	best, _, err := BenchGate(base, DefaultBenchTolerance())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestBenchGateReplaysDistScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, bad, err := BenchGate(base, 1, DefaultBenchTolerance())
+	best, bad, err := BenchGate(base, DefaultBenchTolerance())
 	if err != nil {
 		t.Fatal(err)
 	}

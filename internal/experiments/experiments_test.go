@@ -11,7 +11,23 @@ import (
 
 // tinyScale keeps every experiment under a second or two.
 func tinyScale() Scale {
-	return Scale{Rows: 3000, Rounds: 1, ConvRounds: 8, Seed: 7}
+	return Scale{Rows: 1000, Rounds: 1, ConvRounds: 8, Seed: 7}
+}
+
+// smokeScale is the scale TestAllExperimentsRun gives an experiment:
+// tinyScale, cut further for the two widest sweeps — fig10 trains 33
+// builders and fig16 twelve convergence runs — since the test asserts
+// only that the tables render; at tinyScale these two alone take longer
+// than the rest of the package.
+func smokeScale(name string) Scale {
+	sc := tinyScale()
+	switch name {
+	case "fig10":
+		sc.Rows = 300
+	case "fig16":
+		sc.Rows, sc.ConvRounds = 500, 2
+	}
+	return sc
 }
 
 func TestNamesAndDispatch(t *testing.T) {
@@ -24,7 +40,7 @@ func TestNamesAndDispatch(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun executes every registered experiment at tiny scale
+// TestAllExperimentsRun executes every registered experiment at smoke scale
 // and sanity-checks the produced tables.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
@@ -33,7 +49,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tables, err := Run(name, tinyScale())
+			tables, err := Run(name, smokeScale(name))
 			if err != nil {
 				t.Fatal(err)
 			}

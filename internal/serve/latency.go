@@ -1,57 +1,20 @@
 package serve
 
-import (
-	"math"
-
-	"harpgbdt/internal/obs"
-)
+import "harpgbdt/internal/obs"
 
 // LatencyBuckets are the log2 latency buckets of every serving
 // histogram: 1µs doubling up to ~33s. Factor-2 buckets bound the
-// quantile-extraction error — for any quantile q, the reported upper
-// bound is within one doubling of the exact sample quantile (the unit
-// tests pin exact <= reported < 2*exact).
+// error of any quantile read off them to one doubling of the exact
+// sample quantile.
 var LatencyBuckets = obs.ExpBuckets(1e-6, 2, 26)
 
 // BatchRowBuckets are the power-of-two buckets of the batch-size
 // distribution (1 .. 4096 rows).
 var BatchRowBuckets = obs.ExpBuckets(1, 2, 13)
 
-// Quantile extracts the q-quantile (0 < q <= 1) from a histogram
-// snapshot using exact cumulative counts: it returns the upper bound of
-// the first bucket whose cumulative count reaches rank ceil(q*count).
-// The overflow bucket reports +Inf. Returns NaN on an empty histogram.
-func Quantile(s obs.HistogramSnapshot, q float64) float64 {
-	total := int64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	cum := int64(0)
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // DiffSnapshot subtracts an earlier snapshot of the same histogram from
-// a later one, bucket by bucket — the warmup cutoff of the loadgen
-// soak: quantiles of (end - warmup) cover only post-warmup requests.
+// a later one, bucket by bucket, so a measurement window can exclude
+// its warm-up: (end - start) covers only the requests in between.
 // Panics when the snapshots have different bucket layouts.
 func DiffSnapshot(earlier, later obs.HistogramSnapshot) obs.HistogramSnapshot {
 	if len(earlier.Counts) != len(later.Counts) {

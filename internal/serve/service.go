@@ -197,16 +197,12 @@ func (s *Service) Ready() bool { return !s.closed.Load() }
 // RunID returns the serving run id carried by every access log line.
 func (s *Service) RunID() string { return s.runID }
 
-// RequestLatency snapshots the end-to-end latency histogram (the
-// loadgen warmup cutoff diffs two of these).
+// RequestLatency snapshots the end-to-end latency histogram (diff two
+// with DiffSnapshot to cover a window).
 func (s *Service) RequestLatency() obs.HistogramSnapshot { return s.reqLatency.Snapshot() }
 
 // KernelLatency snapshots the per-batch kernel histogram.
 func (s *Service) KernelLatency() obs.HistogramSnapshot { return s.kernelLatency.Snapshot() }
-
-// Model exposes the compiled model (the gate's direct kernel timing
-// bypasses HTTP).
-func (s *Service) Model() *Flat { return s.flat }
 
 // Close stops admission, waits for the dispatchers to drain, and fails
 // any request still queued. Safe to call once.
