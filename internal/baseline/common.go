@@ -107,7 +107,11 @@ type base struct {
 	pool   *sched.Pool
 	layout *histogram.Layout
 	hpool  *histogram.Pool
-	prof   *profile.Breakdown
+	// arena holds every node's row list for the tree being built (see
+	// engine.Arena). It is allocated by the first newBuildState: XGBApprox,
+	// which keeps a row→node map instead, never needs one.
+	arena *engine.Arena
+	prof  *profile.Breakdown
 }
 
 func newBase(cfg Config, ds *dataset.Dataset) (*base, error) {
@@ -156,7 +160,10 @@ func (b *base) newBuildState(grad gh.Buffer) (*buildState, error) {
 		return nil, fmt.Errorf("baseline: empty dataset")
 	}
 	n := b.ds.NumRows()
-	rootRows := engine.RootRowSet(n, grad, false)
+	if b.arena == nil {
+		b.arena = engine.NewArena(n, false)
+	}
+	rootRows := b.arena.Root(grad)
 	rootSum := rootRows.Sum(grad)
 	t := tree.New(rootSum.G, rootSum.H, int32(n))
 	t.Nodes[0].Weight = b.cfg.Params.CalcWeight(rootSum.G, rootSum.H)
@@ -180,8 +187,7 @@ func (b *base) applySplit(st *buildState, id int32) (left, right int32) {
 	ln := &nodeState{sum: gh.Pair{G: s.LeftG, H: s.LeftH}, split: tree.InvalidSplit()}
 	rn := &nodeState{sum: gh.Pair{G: s.RightG, H: s.RightH}, split: tree.InvalidSplit()}
 	st.nodes = append(st.nodes, ln, rn)
-	goLeft := engine.GoLeftFunc(b.ds.Binned, s)
-	lrs, rrs := engine.Partition(ns.rows, goLeft, b.pool)
+	lrs, rrs := engine.Partition(ns.rows, engine.GoLeftFunc(b.ds.Binned, s), b.pool)
 	ln.rows, rn.rows = lrs, rrs
 	ln.count, rn.count = int32(lrs.Len()), int32(rrs.Len())
 	ns.rows = engine.RowSet{}

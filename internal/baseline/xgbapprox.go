@@ -121,22 +121,18 @@ func (e *XGBApprox) buildHistLevel(grad gh.Buffer, nodeOf []int32, nodes []*appr
 	}
 	n := len(nodeOf)
 	m := e.ds.NumFeatures()
-	off := e.layout.Off
 	e.pool.ParallelFor(m, 1, func(lo, hi, _ int) {
 		for f := lo; f < hi; f++ {
 			_, _, panel := e.cols.Block(f)
-			base := int(off[f])
+			base := e.layout.Index(f, 0)
 			for i := 0; i < n; i++ {
 				idx := histIdx[nodeOf[i]]
 				if idx < 0 {
 					continue
 				}
-				b := panel[i]
-				if b == dataset.MissingBin {
-					continue
-				}
+				// A missing value is bin id MissingBin: its own cell.
 				p := grad[i]
-				c := &hists[idx].Data[base+int(b)]
+				c := &hists[idx].Data[base+int(panel[i])]
 				c.G += p.G
 				c.H += p.H
 			}

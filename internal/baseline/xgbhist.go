@@ -125,9 +125,8 @@ func (e *XGBHist) buildHist(st *buildState, id int32) {
 		}
 		rep.AccumulateRows(bm, st.grad, rows[lo:hi], 0, bm.M)
 	})
-	totalBins := e.layout.TotalBins()
 	const reduceChunk = 16384
-	e.pool.ParallelFor(totalBins, reduceChunk, func(lo, hi, _ int) {
+	e.pool.ParallelFor(e.layout.Cells(), reduceChunk, func(lo, hi, _ int) {
 		for w := 0; w < workers; w++ {
 			if used[w] {
 				ns.hist.AddRange(e.replicas[w], lo, hi)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"harpgbdt/internal/grow"
@@ -47,5 +48,46 @@ func TestAccumulateAllocsPinnedAtZero(t *testing.T) {
 			t.Errorf("memBuf=%v: accumulate sweep allocates %.1f times per run", memBuf, allocs)
 		}
 		b.hpool.Put(h)
+	}
+}
+
+// TestBuildTreeAllocBudget pins what a tree costs the heap once the
+// builder is warm: the row arena and the histogram pool are reused, so the
+// second BuildTree allocates the result (LeafOf, 4 bytes per row, and the
+// tree) plus per-node bookkeeping — not row lists. Before the arena the
+// same call allocated about 270 bytes per row.
+func TestBuildTreeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	if invariant.Enabled {
+		t.Skip("the harpdebug invariant layer is allowed to allocate")
+	}
+	const rows, budget = 50000, 32 // bytes per training row
+	ds := testDataset(t, rows, 8)
+	grad := dyadicGradients(rows, 3)
+	for _, memBuf := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Workers, cfg.UseMemBuf = 2, memBuf
+		b, err := NewBuilder(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.BuildTree(grad); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bt, err := b.BuildTree(grad)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt.Tree.NumLeaves() < 16 {
+			t.Fatalf("memBuf=%v: only %d leaves, the budget would be met by not growing", memBuf, bt.Tree.NumLeaves())
+		}
+		if perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows; perRow > budget {
+			t.Errorf("memBuf=%v: second BuildTree allocated %.1f bytes per row, budget %d", memBuf, perRow, budget)
+		}
 	}
 }

@@ -44,7 +44,10 @@ type Builder struct {
 	layout *histogram.Layout
 	hpool  *histogram.Pool
 	blocks *dataset.ColumnBlocks
-	prof   *profile.Breakdown
+	// arena holds every node's rows for the tree being built (see
+	// engine.Arena): allocated here once, refilled at each tree's root.
+	arena *engine.Arena
+	prof  *profile.Breakdown
 
 	// acc is the per-worker wait-state ledger (nil unless cfg.Perf); the
 	// named counter handles below are cached so hot paths skip the
@@ -94,6 +97,7 @@ func NewBuilder(cfg Config, ds *dataset.Dataset) (*Builder, error) {
 		layout: layout,
 		hpool:  histogram.NewPool(layout),
 		blocks: dataset.NewColumnBlocks(ds.Binned, fbs),
+		arena:  engine.NewArena(ds.NumRows(), cfg.UseMemBuf),
 		prof:   &profile.Breakdown{},
 	}
 	if cfg.Perf {
@@ -181,7 +185,7 @@ func (b *Builder) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 // newBuildState prepares the root node, its histogram and its split.
 func (b *Builder) newBuildState(grad gh.Buffer) *buildState {
 	n := b.ds.NumRows()
-	rootRows := engine.RootRowSet(n, grad, b.cfg.UseMemBuf)
+	rootRows := b.arena.Root(grad)
 	root := b.newNode(rootRows.Sum(grad))
 	root.rows, root.count = rootRows, int32(n)
 	t := tree.New(root.sum.G, root.sum.H, root.count)
@@ -375,22 +379,30 @@ func (b *Builder) applySplitBatch(st *buildState, batch []grow.Candidate) []expa
 	return xs
 }
 
-// partition splits the parent's row set between the two children and
-// releases the parent's rows. A non-nil pool parallelizes inside the node.
+// partition splits the parent's row set between the two children, in the
+// arena: the children's rows replace the parent's, which is released. A
+// non-nil pool parallelizes inside the node.
 func (b *Builder) partition(x *expansion, pool *sched.Pool) {
 	parent, left, right := x.parent, x.kids[0], x.kids[1]
-	var parentRows engine.RowSet
-	if invariant.Enabled {
-		parentRows = parent.rows
-	}
-	l, r := engine.Partition(parent.rows, engine.GoLeftFunc(b.ds.Binned, parent.split), pool)
+	test := b.splitTest(parent.split)
+	before := invariant.RowIDs(parent.rows) // nil unless harpdebug
+	l, r := engine.Partition(parent.rows, test, pool)
 	left.rows, right.rows = l, r
 	left.count, right.count = int32(l.Len()), int32(r.Len())
 	parent.rows = engine.RowSet{}
 	if invariant.Enabled {
-		invariant.PartitionPermutation(parentRows, l, r, "core.partition")
+		invariant.PartitionPermutation(before, l, r, test, "core.partition")
 		invariant.SplitConservation(parent.sum, left.sum, right.sum, "core.partition")
 	}
+}
+
+// splitTest returns the predicate of split s reading the split feature's
+// column of its block panel: BlockWidth bytes per row, where the row-major
+// matrix strides by M.
+func (b *Builder) splitTest(s tree.SplitInfo) engine.SplitTest {
+	f := int(s.Feature)
+	fLo, fHi, panel := b.blocks.Block(f / b.blocks.BlockWidth)
+	return engine.NewSplitTest(panel[f-fLo:], fHi-fLo, s)
 }
 
 // histPlan says how the two children of one expansion get histograms.

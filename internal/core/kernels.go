@@ -12,8 +12,8 @@ type binRange struct {
 	lo, hi uint8
 }
 
-// fullBinRange covers every real bin (255 is the missing sentinel and never
-// accumulated).
+// fullBinRange covers every real bin and, like every range that ends at
+// 255 (the missing sentinel), the missing-value cell.
 var fullBinRange = binRange{0, 255}
 
 // binRanges expands the configured bin block size into task ranges.
@@ -105,7 +105,7 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 		rowBlk = (b.ds.NumRows() + workers - 1) / workers
 	}
 	nb := b.blocks.NumBlocks()
-	totalBins := b.layout.TotalBins()
+	cells := b.layout.Cells()
 	for g := 0; g < len(ids); g += nodeBlk {
 		end := g + nodeBlk
 		if end > len(ids) {
@@ -154,10 +154,10 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 		var rtasks []func(int)
 		for gi, id := range group {
 			target := st.nodes[id].hist
-			for lo := 0; lo < totalBins; lo += reduceChunk {
+			for lo := 0; lo < cells; lo += reduceChunk {
 				hi := lo + reduceChunk
-				if hi > totalBins {
-					hi = totalBins
+				if hi > cells {
+					hi = cells
 				}
 				gi, lo, hi, target := gi, lo, hi, target
 				rtasks = append(rtasks, func(rw int) {

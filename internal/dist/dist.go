@@ -490,7 +490,7 @@ func (t *Trainer) applySplit(st *distBuild, id int32) (int32, int32) {
 	for sh := range t.shards {
 		t0 := profile.StartTimer()
 		for _, row := range ns.rows[sh] {
-			if goLeft(row) {
+			if goLeft.GoLeft(row) {
 				left.rows[sh] = append(left.rows[sh], row)
 			} else {
 				right.rows[sh] = append(right.rows[sh], row)

@@ -62,7 +62,7 @@ func TestKernelAllocsPinnedAtZero(t *testing.T) {
 			}
 		}},
 		{"AddHist", func() { h.AddHist(o) }},
-		{"AddRange", func() { h.AddRange(o, 0, layout.TotalBins()) }},
+		{"AddRange", func() { h.AddRange(o, 0, layout.Cells()) }},
 		{"SubHist", func() { h.SubHist(o) }},
 		{"FindBestSplit", func() { _ = h.FindBestSplit(params, total, 0, 6) }},
 		{"FindBestSplitMasked", func() { _ = h.FindBestSplitMasked(params, total, 0, 6, allowed) }},

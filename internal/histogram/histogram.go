@@ -1,10 +1,11 @@
 // Package histogram implements the model side of GBDT training: the GHSum
 // gradient-statistics cubes of the paper's Figure 5. A node's histogram
-// holds one gh.Pair per (feature, bin); the package provides a compact
-// per-feature-offset layout, a reusable histogram pool (hot-loop
-// allocations are the enemy), replica reduction for data parallelism, the
-// parent-minus-child subtraction trick, and the FindSplit enumeration of
-// Eq. (3).
+// holds one gh.Pair per (feature, bin); the package provides a
+// fixed-stride layout with a missing-value cell per feature (so BuildHist
+// scatters without a branch or a bounds check), a reusable histogram pool
+// (hot-loop allocations are the enemy), replica reduction for data
+// parallelism, the parent-minus-child subtraction trick, and the FindSplit
+// enumeration of Eq. (3).
 package histogram
 
 import (
@@ -15,35 +16,50 @@ import (
 	"harpgbdt/internal/tree"
 )
 
-// Layout maps (feature, bin) to a flat histogram index. Feature f occupies
-// [Off[f], Off[f+1]) with NBins(f) = Off[f+1]-Off[f] cells.
+// Stride is the number of cells every feature occupies in a histogram,
+// whatever its cardinality: one per uint8 bin id. The real bins sit at
+// [0, NBins(f)), the rows whose value is missing accumulate into cell
+// dataset.MissingBin (the last one), and the cells between are never
+// written. A bin id therefore indexes a feature's *[Stride]gh.Pair with no
+// bounds check and no missing-value test.
+const Stride = int(dataset.MissingBin) + 1
+
+// Layout maps (feature, bin) to a flat histogram index: feature f occupies
+// [f*Stride, (f+1)*Stride).
 type Layout struct {
-	M   int
-	Off []int32 // length M+1
+	M     int
+	nbins []int32 // real bins per feature, length M
+	total int     // sum of nbins
 }
 
 // NewLayout derives the histogram layout from the dataset cuts.
 func NewLayout(cuts *dataset.Cuts) *Layout {
-	l := &Layout{M: cuts.M, Off: make([]int32, cuts.M+1)}
-	for f := 0; f < cuts.M; f++ {
-		l.Off[f+1] = l.Off[f] + int32(cuts.NumBins(f))
+	l := &Layout{M: cuts.M, nbins: make([]int32, cuts.M)}
+	for f := range l.nbins {
+		l.nbins[f] = int32(cuts.NumBins(f))
+		l.total += cuts.NumBins(f)
 	}
 	return l
 }
 
-// TotalBins returns the number of histogram cells per node.
-func (l *Layout) TotalBins() int { return int(l.Off[l.M]) }
+// TotalBins returns the number of real bins per node, over all features:
+// what FindSplit scans and what a histogram allreduce would have to send.
+func (l *Layout) TotalBins() int { return l.total }
 
-// NBins returns the number of bins of feature f.
-func (l *Layout) NBins(f int) int { return int(l.Off[f+1] - l.Off[f]) }
+// Cells returns the storage length of a histogram, M*Stride: the index
+// space of Data and of the flat ranges AddRange and ResetRange take.
+func (l *Layout) Cells() int { return l.M * Stride }
+
+// NBins returns the number of real bins of feature f.
+func (l *Layout) NBins(f int) int { return int(l.nbins[f]) }
 
 // Index returns the flat index of (feature, bin).
-func (l *Layout) Index(f int, bin uint8) int { return int(l.Off[f]) + int(bin) }
+func (l *Layout) Index(f int, bin uint8) int { return f*Stride + int(bin) }
 
 // FeatureRange returns the flat index range [lo, hi) of the features in
 // [fLo, fHi).
 func (l *Layout) FeatureRange(fLo, fHi int) (lo, hi int) {
-	return int(l.Off[fLo]), int(l.Off[fHi])
+	return fLo * Stride, fHi * Stride
 }
 
 // Hist is one node's gradient-statistics histogram: a flat slice of
@@ -51,11 +67,18 @@ func (l *Layout) FeatureRange(fLo, fHi int) (lo, hi int) {
 type Hist struct {
 	Layout *Layout
 	Data   []gh.Pair
+	// cols[f] is feature f's cells as an array, the view the accumulate
+	// kernels scatter through.
+	cols []*[Stride]gh.Pair
 }
 
 // NewHist allocates a zeroed histogram for the layout.
 func NewHist(l *Layout) *Hist {
-	return &Hist{Layout: l, Data: make([]gh.Pair, l.TotalBins())}
+	h := &Hist{Layout: l, Data: make([]gh.Pair, l.Cells()), cols: make([]*[Stride]gh.Pair, l.M)}
+	for f := range h.cols {
+		h.cols[f] = (*[Stride]gh.Pair)(h.Data[f*Stride:])
+	}
+	return h
 }
 
 // Reset zeroes the histogram.
@@ -74,19 +97,19 @@ func (h *Hist) ResetRange(lo, hi int) {
 }
 
 // At returns the accumulated pair of (feature, bin).
-func (h *Hist) At(f int, bin uint8) gh.Pair { return h.Data[h.Layout.Index(f, bin)] }
+func (h *Hist) At(f int, bin uint8) gh.Pair { return h.cols[f][bin] }
 
-// Feature returns the bins of feature f (aliases internal storage).
+// Feature returns the real bins of feature f (aliases internal storage).
 func (h *Hist) Feature(f int) []gh.Pair {
-	// Checking Off[f+1] first lets the compiler drop the Off[f] check.
-	off := h.Layout.Off
-	hi := off[f+1]
-	lo := off[f]
-	return h.Data[lo:hi]
+	return h.cols[f][:h.Layout.nbins[f]]
 }
 
-// FeatureSum returns the total pair over the bins of feature f (excludes
-// missing rows, which never enter any bin).
+// Missing returns the pair accumulated from the rows whose value of
+// feature f is missing.
+func (h *Hist) Missing(f int) gh.Pair { return h.cols[f][dataset.MissingBin] }
+
+// FeatureSum returns the total pair over the real bins of feature f
+// (excludes the missing-value cell).
 func (h *Hist) FeatureSum(f int) gh.Pair {
 	var s gh.Pair
 	for _, p := range h.Feature(f) {
@@ -128,85 +151,18 @@ func (h *Hist) SubHist(o *Hist) {
 
 // Clone returns a deep copy.
 func (h *Hist) Clone() *Hist {
-	c := &Hist{Layout: h.Layout, Data: make([]gh.Pair, len(h.Data))}
+	c := NewHist(h.Layout)
 	copy(c.Data, h.Data)
 	return c
 }
 
-// AccumulateRows adds the gradient pairs of the given rows into the
-// histogram for features [fLo, fHi), reading bins from the row-major binned
-// matrix. Rows with MissingBin are skipped (default-direction handling).
-func (h *Hist) AccumulateRows(bm *dataset.BinnedMatrix, grad gh.Buffer, rows []int32, fLo, fHi int) {
-	m := bm.M
-	// offs is resliced to exactly the feature window and bins is tied to
-	// len(offs), so the inner loop's offs[j] carries no bounds check; the
-	// scatter into data is index-dependent and stays (BCE_baseline.txt).
-	offs := h.Layout.Off[fLo:fHi]
-	data := h.Data
-	for _, r := range rows {
-		base := int(r) * m
-		bins := bm.Bins[base+fLo : base+m][:len(offs)]
-		p := grad[r]
-		for j, b := range bins {
-			if b == dataset.MissingBin {
-				continue
-			}
-			c := &data[int(offs[j])+int(b)]
-			c.G += p.G
-			c.H += p.H
-		}
-	}
-}
-
-// AccumulateMemBuf is AccumulateRows reading (rowid, g, h) from a MemBuf —
-// the paper's gradient-replica optimization that makes the gradient stream
-// sequential.
-func (h *Hist) AccumulateMemBuf(bm *dataset.BinnedMatrix, mb gh.MemBuf, fLo, fHi int) {
-	m := bm.M
-	offs := h.Layout.Off[fLo:fHi]
-	data := h.Data
-	for _, e := range mb {
-		base := int(e.Row) * m
-		bins := bm.Bins[base+fLo : base+m][:len(offs)]
-		for j, b := range bins {
-			if b == dataset.MissingBin {
-				continue
-			}
-			c := &data[int(offs[j])+int(b)]
-			c.G += e.G
-			c.H += e.H
-		}
-	}
-}
-
-// AccumulatePanelRows adds rows into the histogram reading bins from a
-// feature-block panel (block covering features [fLo, fHi)), using MemBuf
-// gradients. panel is the block's row-major N x (fHi-fLo) storage. The
-// write region is confined to the block's bins — this is the block-wise
-// kernel of Sec. IV-A.
-func (h *Hist) AccumulatePanelRows(panel []uint8, width int, mb gh.MemBuf, fLo, fHi int) {
-	offs := h.Layout.Off[fLo:fHi]
-	data := h.Data
-	w := width
-	for _, e := range mb {
-		bins := panel[int(e.Row)*w:][:len(offs)]
-		for j, b := range bins {
-			if b == dataset.MissingBin {
-				continue
-			}
-			c := &data[int(offs[j])+int(b)]
-			c.G += e.G
-			c.H += e.H
-		}
-	}
-}
-
-// Total returns the sum over all cells of features [fLo, fHi).
+// Total returns the sum over the real bins of features [fLo, fHi).
 func (h *Hist) Total(fLo, fHi int) gh.Pair {
-	lo, hi := h.Layout.FeatureRange(fLo, fHi)
 	var s gh.Pair
-	for _, p := range h.Data[lo:hi] {
-		s.Add(p)
+	for f := fLo; f < fHi; f++ {
+		for _, p := range h.Feature(f) {
+			s.Add(p)
+		}
 	}
 	return s
 }

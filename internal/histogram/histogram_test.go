@@ -49,6 +49,15 @@ func allRows(n int) []int32 {
 	return rows
 }
 
+// layoutOf builds a layout with the given real bin counts per feature.
+func layoutOf(nbins ...int32) *Layout {
+	l := &Layout{M: len(nbins), nbins: nbins}
+	for _, nb := range nbins {
+		l.total += int(nb)
+	}
+	return l
+}
+
 func TestLayout(t *testing.T) {
 	d := dataset.NewDense(10, 3)
 	for i := 0; i < 10; i++ {
@@ -64,12 +73,35 @@ func TestLayout(t *testing.T) {
 	if l.NBins(0) != 10 || l.NBins(1) != 2 || l.NBins(2) != 1 {
 		t.Fatalf("per-feature bins %d/%d/%d", l.NBins(0), l.NBins(1), l.NBins(2))
 	}
-	if l.Index(1, 1) != 11 {
+	// Storage is fixed-stride: one cell per uint8 bin id, whatever the
+	// feature's cardinality, the last one for missing values.
+	if Stride != 256 || l.Cells() != 3*Stride {
+		t.Fatalf("stride %d, cells %d", Stride, l.Cells())
+	}
+	if l.Index(1, 1) != Stride+1 {
 		t.Fatalf("index(1,1) = %d", l.Index(1, 1))
 	}
+	if l.Index(2, dataset.MissingBin) != l.Cells()-1 {
+		t.Fatalf("missing cell of the last feature at %d", l.Index(2, dataset.MissingBin))
+	}
 	lo, hi := l.FeatureRange(1, 3)
-	if lo != 10 || hi != 13 {
+	if lo != Stride || hi != 3*Stride {
 		t.Fatalf("feature range [%d,%d)", lo, hi)
+	}
+	h := NewHist(l)
+	if len(h.Data) != l.Cells() {
+		t.Fatalf("histogram holds %d cells, layout says %d", len(h.Data), l.Cells())
+	}
+	if len(h.Feature(0)) != 10 || len(h.Feature(1)) != 2 || len(h.Feature(2)) != 1 {
+		t.Fatal("Feature must return the real bins only")
+	}
+	h.Data[l.Index(1, 1)] = gh.Pair{G: 1, H: 2}
+	h.Data[l.Index(1, dataset.MissingBin)] = gh.Pair{G: 3, H: 4}
+	if h.At(1, 1) != (gh.Pair{G: 1, H: 2}) || h.Feature(1)[1] != h.At(1, 1) {
+		t.Fatal("At / Feature do not alias Data")
+	}
+	if h.Missing(1) != (gh.Pair{G: 3, H: 4}) || h.FeatureSum(1) != (gh.Pair{G: 1, H: 2}) {
+		t.Fatalf("missing cell %+v, feature sum %+v", h.Missing(1), h.FeatureSum(1))
 	}
 }
 
@@ -97,34 +129,92 @@ func TestAccumulateVariantsAgree(t *testing.T) {
 	bm, layout, grad := makeFixture(300, 6, 12, 2)
 	rows := allRows(300)
 	mb := gh.BuildMemBuf(rows, grad)
-	blocks := dataset.NewColumnBlocks(bm, 3)
 
+	// The reference is written against the definition, not a kernel: row
+	// order per cell, missing values into the missing cell.
 	ref := NewHist(layout)
-	ref.AccumulateRows(bm, grad, rows, 0, 6)
-
-	// MemBuf row-major kernel.
-	h1 := NewHist(layout)
-	h1.AccumulateMemBuf(bm, mb, 0, 6)
-	// Panel kernels per block.
-	h2 := NewHist(layout)
-	h3 := NewHist(layout)
-	h4 := NewHist(layout)
-	h5 := NewHist(layout)
-	for b := 0; b < blocks.NumBlocks(); b++ {
-		lo, hi, panel := blocks.Block(b)
-		w := hi - lo
-		h2.AccumulatePanelRows(panel, w, mb, lo, hi)
-		h3.AccumulatePanelRowsGrad(panel, w, rows, grad, lo, hi)
-		// Bin-split kernels: two ranges must together equal the full pass.
-		h4.AccumulatePanelRowsBinRange(panel, w, mb, lo, hi, 0, 6)
-		h4.AccumulatePanelRowsBinRange(panel, w, mb, lo, hi, 6, 255)
-		h5.AccumulatePanelRowsGradBinRange(panel, w, rows, grad, lo, hi, 0, 6)
-		h5.AccumulatePanelRowsGradBinRange(panel, w, rows, grad, lo, hi, 6, 255)
+	missing := 0
+	for _, r := range rows {
+		for f := 0; f < 6; f++ {
+			b := bm.At(int(r), f)
+			if b == dataset.MissingBin {
+				missing++
+			}
+			ref.Data[layout.Index(f, b)].Add(grad[r])
+		}
 	}
-	for name, h := range map[string]*Hist{"membuf": h1, "panel-membuf": h2, "panel-grad": h3, "panel-binrange": h4, "panel-grad-binrange": h5} {
-		for i := range ref.Data {
-			if ref.Data[i] != h.Data[i] {
-				t.Fatalf("%s kernel differs at cell %d: %+v vs %+v", name, i, h.Data[i], ref.Data[i])
+	if missing == 0 {
+		t.Fatal("fixture has no missing values")
+	}
+
+	hists := map[string]*Hist{}
+	for _, name := range []string{"rows", "membuf", "panel-membuf", "panel-grad", "panel-binrange", "panel-grad-binrange"} {
+		hists[name] = NewHist(layout)
+	}
+	hists["rows"].AccumulateRows(bm, grad, rows, 0, 6)
+	hists["membuf"].AccumulateMemBuf(bm, mb, 0, 6)
+	// Block widths 3 and 4: the second leaves a narrower last block.
+	for _, width := range []int{3, 4} {
+		blocks := dataset.NewColumnBlocks(bm, width)
+		for _, name := range []string{"panel-membuf", "panel-grad", "panel-binrange", "panel-grad-binrange"} {
+			hists[name].Reset()
+		}
+		for b := 0; b < blocks.NumBlocks(); b++ {
+			lo, hi, panel := blocks.Block(b)
+			w := hi - lo
+			hists["panel-membuf"].AccumulatePanelRows(panel, w, mb, lo, hi)
+			hists["panel-grad"].AccumulatePanelRowsGrad(panel, w, rows, grad, lo, hi)
+			// Bin-split kernels: ranges tiling [0, MissingBin) must together
+			// equal the full pass, missing cell included (it belongs to the
+			// range that ends at MissingBin).
+			for _, r := range [][2]uint8{{0, 6}, {6, 9}, {9, dataset.MissingBin}} {
+				hists["panel-binrange"].AccumulatePanelRowsBinRange(panel, w, mb, lo, hi, r[0], r[1])
+				hists["panel-grad-binrange"].AccumulatePanelRowsGradBinRange(panel, w, rows, grad, lo, hi, r[0], r[1])
+			}
+		}
+		for name, h := range hists {
+			for i := range ref.Data {
+				if ref.Data[i] != h.Data[i] {
+					t.Fatalf("width %d: %s kernel differs at cell %d: %+v vs %+v", width, name, i, h.Data[i], ref.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMissingCellConservation: for every feature, the real bins plus the
+// missing cell hold every row of the node exactly once, so they sum to the
+// node total — the conservation law the branch-free layout adds (the old
+// layout dropped missing rows, so only "feature sum <= node sum" held).
+func TestMissingCellConservation(t *testing.T) {
+	bm, layout, grad := makeFixture(400, 5, 9, 8)
+	rows := allRows(400)[37:311]
+	h := NewHist(layout)
+	h.AccumulateRows(bm, grad, rows, 0, 5)
+	total := grad.SumRows(rows)
+	for f := 0; f < 5; f++ {
+		var wantMissing gh.Pair
+		for _, r := range rows {
+			if bm.At(int(r), f) == dataset.MissingBin {
+				wantMissing.Add(grad[r])
+			}
+		}
+		if wantMissing.IsZero() {
+			t.Fatalf("feature %d: fixture has no missing rows", f)
+		}
+		if h.Missing(f) != wantMissing {
+			t.Fatalf("feature %d: missing cell %+v, want %+v", f, h.Missing(f), wantMissing)
+		}
+		got := h.FeatureSum(f)
+		got.Add(h.Missing(f))
+		if got != total { // dyadic gradients: exact
+			t.Fatalf("feature %d: bins + missing = %+v, node total %+v", f, got, total)
+		}
+		// The cells between the last real bin and the missing cell stay
+		// untouched.
+		for b := layout.NBins(f); b < int(dataset.MissingBin); b++ {
+			if !h.At(f, uint8(b)).IsZero() {
+				t.Fatalf("feature %d: unused cell %d written: %+v", f, b, h.At(f, uint8(b)))
 			}
 		}
 	}
@@ -181,9 +271,12 @@ func TestAddRangeEquivalentToAddHist(t *testing.T) {
 	a := h1.Clone()
 	a.AddHist(h2)
 	b := h1.Clone()
-	total := layout.TotalBins()
-	for lo := 0; lo < total; lo += 5 {
-		hi := lo + 5
+	total := layout.Cells()
+	if a.Missing(0).IsZero() {
+		t.Fatal("fixture has no missing mass to reduce")
+	}
+	for lo := 0; lo < total; lo += 100 {
+		hi := lo + 100
 		if hi > total {
 			hi = total
 		}
@@ -197,7 +290,7 @@ func TestAddRangeEquivalentToAddHist(t *testing.T) {
 }
 
 func TestResetRange(t *testing.T) {
-	layout := &Layout{M: 1, Off: []int32{0, 10}}
+	layout := layoutOf(10)
 	h := NewHist(layout)
 	for i := range h.Data {
 		h.Data[i] = gh.Pair{G: 1, H: 1}
@@ -409,7 +502,7 @@ func TestHistTotalSplitInvariantProperty(t *testing.T) {
 }
 
 func TestPool(t *testing.T) {
-	layout := &Layout{M: 1, Off: []int32{0, 4}}
+	layout := layoutOf(4)
 	p := NewPool(layout)
 	h1 := p.Get()
 	h1.Data[0] = gh.Pair{G: 1, H: 1}
@@ -432,7 +525,7 @@ func TestPool(t *testing.T) {
 }
 
 func TestPoolConcurrent(t *testing.T) {
-	layout := &Layout{M: 1, Off: []int32{0, 8}}
+	layout := layoutOf(8)
 	p := NewPool(layout)
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
@@ -450,5 +543,106 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 	if p.Allocated() > 8 {
 		t.Fatalf("allocated %d > workers", p.Allocated())
+	}
+}
+
+// compactBestSplit is the split scan over compactly stored bins — feature f
+// is bins[f], nothing else — with the arithmetic of the layout this
+// package had before the fixed stride: the reference the strided scan must
+// match to the last bit.
+func compactBestSplit(p tree.SplitParams, total gh.Pair, bins [][]gh.Pair, allowed []bool) tree.SplitInfo {
+	best := tree.InvalidSplit()
+	consider := func(f, b int, defaultLeft bool, gl, hl, gr, hr float64) {
+		if !p.Admissible(hl, hr) {
+			return
+		}
+		if g := p.SplitGain(gl, hl, gr, hr); g > 0 {
+			cand := tree.SplitInfo{Feature: int32(f), Bin: uint8(b), DefaultLeft: defaultLeft,
+				Gain: g, LeftG: gl, LeftH: hl, RightG: gr, RightH: hr}
+			if cand.Better(best) {
+				best = cand
+			}
+		}
+	}
+	for f, fb := range bins {
+		if (allowed != nil && !allowed[f]) || len(fb) <= 1 {
+			continue
+		}
+		var featSum gh.Pair
+		for _, c := range fb {
+			featSum.Add(c)
+		}
+		missG, missH := total.G-featSum.G, total.H-featSum.H
+		var gl, hl float64
+		for b := 0; b < len(fb)-1; b++ {
+			gl += fb[b].G
+			hl += fb[b].H
+			consider(f, b, false, gl, hl, total.G-gl, total.H-hl)
+			if missH != 0 || missG != 0 {
+				gll, hll := gl+missG, hl+missH
+				consider(f, b, true, gll, hll, total.G-gll, total.H-hll)
+			}
+		}
+		if missH > 0 || missG != 0 {
+			consider(f, len(fb)-1, false, featSum.G, featSum.H, missG, missH)
+		}
+	}
+	return best
+}
+
+// TestFindBestSplitMatchesCompactScan: the strided layout changes where the
+// bins are stored, not what FindSplit computes. On gradients that are not
+// exactly summable, with and without missing values and with and without a
+// column mask, the split must equal — every field, Gain to the last bit —
+// the scan over compact copies of the same bins.
+func TestFindBestSplitMatchesCompactScan(t *testing.T) {
+	params := tree.SplitParams{Lambda: 1, Gamma: 0.01, MinChildWeight: 0.5}
+	const n, m = 600, 7
+	for _, withMissing := range []bool{true, false} {
+		for seed := uint64(40); seed < 52; seed++ {
+			bm, layout, grad := makeFixture(n, m, 20, seed)
+			if !withMissing {
+				for i, b := range bm.Bins {
+					if b == dataset.MissingBin {
+						bm.Bins[i] = uint8(i % layout.NBins(i%m))
+					}
+				}
+			}
+			// Gradients that round (thirds and sevenths) and follow one
+			// feature, so a split is worth taking.
+			signal := int(seed) % m
+			for i := range grad {
+				g := float64(i%13-6) / 3
+				if b := bm.At(i, signal); b != dataset.MissingBin && int(b) > layout.NBins(signal)/2 {
+					g += 5
+				}
+				grad[i] = gh.Pair{G: g, H: float64(1+i%5) / 7}
+			}
+			rows := allRows(n)
+			h := NewHist(layout)
+			h.AccumulateRows(bm, grad, rows, 0, m)
+			total := grad.SumRows(rows)
+			bins := make([][]gh.Pair, m)
+			for f := range bins {
+				bins[f] = append([]gh.Pair(nil), h.Feature(f)...)
+				if h.Missing(f).IsZero() == withMissing {
+					t.Fatalf("seed %d feature %d: withMissing=%v but missing cell is %+v", seed, f, withMissing, h.Missing(f))
+				}
+			}
+			mask := make([]bool, m)
+			for f := range mask {
+				mask[f] = (seed+uint64(f))%3 != 0
+			}
+			for _, allowed := range [][]bool{nil, mask} {
+				got := h.FindBestSplitMasked(params, total, 0, m, allowed)
+				want := compactBestSplit(params, total, bins, allowed)
+				if got != want {
+					t.Fatalf("seed %d missing=%v mask=%v:\n got %+v\nwant %+v", seed, withMissing, allowed != nil, got, want)
+				}
+				if !got.Valid() {
+					t.Fatalf("seed %d: fixture produced no split", seed)
+				}
+			}
+		}
 	}
 }

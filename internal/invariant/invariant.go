@@ -1,7 +1,8 @@
 // Package invariant is the sanitizer-style runtime assertion layer of the
 // trainer: machine-checkable statements of the algebraic invariants the
 // paper's concurrency structure relies on — GHSum conservation across the
-// histogram subtraction trick, row-partition permutation after ApplySplit,
+// histogram subtraction trick and across a feature's bins plus its
+// missing-value cell, row-partition permutation after ApplySplit,
 // bin-id bounds inside block-confined BuildHist write regions, and TopK
 // queue gain monotonicity.
 //
@@ -107,46 +108,70 @@ func HistConservation(parent, left, right *histogram.Hist, ctx string) {
 }
 
 // HistFeatureTotals checks a freshly built node histogram against the
-// node's gradient total: every per-feature sum must be finite and must not
-// exceed the node total by more than tolerance (features with missing
-// values legitimately sum to less — missing rows enter no bin).
+// node's gradient total. Every row of the node lands in exactly one cell
+// of every feature — a real bin, or the missing-value cell — so for every
+// feature the real bins plus the missing cell must add up to the node's
+// ⟨G, H⟩ within tolerance.
 func HistFeatureTotals(h *histogram.Hist, nodeSum gh.Pair, ctx string) {
 	if !Enabled {
 		return
 	}
 	for f := 0; f < h.Layout.M; f++ {
 		s := h.FeatureSum(f)
-		if math.IsNaN(s.G) || math.IsInf(s.G, 0) || math.IsNaN(s.H) || math.IsInf(s.H, 0) {
-			Failf("%s: feature %d histogram total is non-finite: %+v", ctx, f, s)
-		}
-		// H is a sum of non-negative hessians, so a feature's total may
-		// not exceed the node's.
-		if s.H > nodeSum.H+tol(math.Abs(nodeSum.H)) {
-			Failf("%s: feature %d hessian total %g exceeds node total %g", ctx, f, s.H, nodeSum.H)
+		s.Add(h.Missing(f))
+		// Negated comparisons: a NaN total must fail too.
+		if !(math.Abs(s.G-nodeSum.G) <= tol(math.Abs(nodeSum.G))) || !(math.Abs(s.H-nodeSum.H) <= tol(math.Abs(nodeSum.H))) {
+			Failf("%s: feature %d bins + missing cell = %+v, not the node total %+v", ctx, f, s, nodeSum)
 		}
 	}
 }
 
+// RowIDs returns the row ids of rs in order: the snapshot of a parent's
+// rows that PartitionPermutation compares against, taken before an in-place
+// ApplySplit overwrites them. Nil unless built with harpdebug.
+func RowIDs(rs engine.RowSet) []int32 {
+	if !Enabled {
+		return nil
+	}
+	ids := make([]int32, 0, rs.Len())
+	rs.ForEachRow(func(r int32) { ids = append(ids, r) })
+	return ids
+}
+
 // PartitionPermutation checks that ApplySplit partitioned a node exactly:
-// left ++ right must be a multiset permutation of the parent's rows — no
-// row lost, duplicated, or invented.
-func PartitionPermutation(parent, left, right engine.RowSet, ctx string) {
+// left ++ right must be a multiset permutation of parent (the node's row
+// ids before the partition) — no row lost, duplicated, or invented; every
+// left row must pass the split test and every right row fail it; and both
+// children must list their rows in strictly ascending order, which the
+// root's order plus a stable partition guarantee at every depth.
+func PartitionPermutation(parent []int32, left, right engine.RowSet, test engine.SplitTest, ctx string) {
 	if !Enabled {
 		return
 	}
-	if left.Len()+right.Len() != parent.Len() {
-		Failf("%s: partition row count %d+%d != parent %d", ctx, left.Len(), right.Len(), parent.Len())
+	if left.Len()+right.Len() != len(parent) {
+		Failf("%s: partition row count %d+%d != parent %d", ctx, left.Len(), right.Len(), len(parent))
 	}
-	seen := make(map[int32]int, parent.Len())
-	parent.ForEachRow(func(r int32) { seen[r]++ })
-	check := func(r int32) {
-		if seen[r] == 0 {
-			Failf("%s: partition emitted row %d not in parent (or duplicated)", ctx, r)
-		}
-		seen[r]--
+	seen := make(map[int32]int, len(parent))
+	for _, r := range parent {
+		seen[r]++
 	}
-	left.ForEachRow(check)
-	right.ForEachRow(check)
+	for side, rs := range [2]engine.RowSet{left, right} {
+		wantLeft, prev := side == 0, int32(-1)
+		rs.ForEachRow(func(r int32) {
+			if seen[r] == 0 {
+				Failf("%s: partition emitted row %d not in parent (or duplicated)", ctx, r)
+				return
+			}
+			seen[r]--
+			if test.GoLeft(r) != wantLeft {
+				Failf("%s: row %d is on the wrong side of the split (left=%v)", ctx, r, wantLeft)
+			}
+			if r <= prev {
+				Failf("%s: child rows not strictly ascending: %d after %d", ctx, r, prev)
+			}
+			prev = r
+		})
+	}
 }
 
 // PanelBins checks the block-confined BuildHist write region: every bin id

@@ -9,6 +9,7 @@ import (
 	"harpgbdt/internal/gh"
 	"harpgbdt/internal/histogram"
 	"harpgbdt/internal/invariant"
+	"harpgbdt/internal/tree"
 )
 
 // capture runs fn with a recording fail handler installed and returns the
@@ -83,33 +84,77 @@ func TestHistConservationDetectsCorruption(t *testing.T) {
 func TestHistFeatureTotalsDetectsExcessMass(t *testing.T) {
 	l := testLayout(t)
 	h := histogram.NewHist(l)
-	h.Data[0] = gh.Pair{G: 1, H: 2}
-	if msgs := capture(t, func() { invariant.HistFeatureTotals(h, gh.Pair{G: 1, H: 2}, "ok") }); len(msgs) != 0 {
+	// Three rows: feature 0 has them all in real bins, feature 1 has one
+	// of them missing.
+	node := gh.Pair{G: 3, H: 6}
+	h.Data[l.Index(0, 0)] = gh.Pair{G: 1, H: 2}
+	h.Data[l.Index(0, 1)] = gh.Pair{G: 2, H: 4}
+	h.Data[l.Index(1, 0)] = gh.Pair{G: 2.5, H: 5}
+	h.Data[l.Index(1, dataset.MissingBin)] = gh.Pair{G: 0.5, H: 1}
+	if msgs := capture(t, func() { invariant.HistFeatureTotals(h, node, "ok") }); len(msgs) != 0 {
 		t.Fatalf("consistent totals flagged: %q", msgs)
 	}
-	expect(t, capture(t, func() { invariant.HistFeatureTotals(h, gh.Pair{G: 1, H: 1}, "bad") }),
-		"exceeds node total")
+	// Excess mass in a real bin.
+	expect(t, capture(t, func() { invariant.HistFeatureTotals(h, gh.Pair{G: 3, H: 5}, "bad") }),
+		"not the node total")
+	// A row dropped from the missing cell: the feature now sums to less
+	// than the node, which the old "must not exceed" check let through.
+	h.Data[l.Index(1, dataset.MissingBin)] = gh.Pair{}
+	expect(t, capture(t, func() { invariant.HistFeatureTotals(h, node, "bad") }),
+		"feature 1 bins + missing cell")
+}
+
+// partitionTest is the split "bin <= 1 goes left, missing goes right" over
+// a one-feature column in which rows 0 and 2 pass.
+func partitionTest() engine.SplitTest {
+	col := []uint8{0, 3, 1, dataset.MissingBin}
+	return engine.NewSplitTest(col, 1, tree.SplitInfo{Feature: 0, Bin: 1})
 }
 
 func TestPartitionPermutationDetectsLostRow(t *testing.T) {
-	parent := engine.RowSet{Rows: []int32{0, 1, 2, 3}}
+	parent := []int32{0, 1, 2, 3}
 	left := engine.RowSet{Rows: []int32{0, 2}}
 	right := engine.RowSet{Rows: []int32{1, 3}}
-	if msgs := capture(t, func() { invariant.PartitionPermutation(parent, left, right, "ok") }); len(msgs) != 0 {
+	if msgs := capture(t, func() { invariant.PartitionPermutation(parent, left, right, partitionTest(), "ok") }); len(msgs) != 0 {
 		t.Fatalf("valid partition flagged: %q", msgs)
 	}
 	// Duplicate a row (and drop another): same lengths, corrupt contents.
 	bad := engine.RowSet{Rows: []int32{1, 1}}
-	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, bad, "bad") }),
+	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, bad, partitionTest(), "bad") }),
 		"not in parent (or duplicated)")
 }
 
 func TestPartitionPermutationDetectsCountMismatch(t *testing.T) {
-	parent := engine.RowSet{Rows: []int32{0, 1, 2}}
+	parent := []int32{0, 1, 2}
 	left := engine.RowSet{Rows: []int32{0}}
 	right := engine.RowSet{Rows: []int32{1}}
-	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, right, "bad") }),
+	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, right, partitionTest(), "bad") }),
 		"row count")
+}
+
+func TestPartitionPermutationDetectsWrongSide(t *testing.T) {
+	parent := []int32{0, 1, 2, 3}
+	// A permutation, but row 2 passes the test and sits on the right.
+	left := engine.RowSet{Rows: []int32{0}}
+	right := engine.RowSet{Rows: []int32{1, 2, 3}}
+	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, right, partitionTest(), "bad") }),
+		"wrong side of the split")
+}
+
+func TestPartitionPermutationDetectsReordering(t *testing.T) {
+	parent := []int32{0, 1, 2, 3}
+	// Every row on its side, but the right child lost the parent's order.
+	left := engine.RowSet{Rows: []int32{0, 2}}
+	right := engine.RowSet{Mem: gh.BuildMemBuf([]int32{3, 1}, gh.NewBuffer(4))}
+	expect(t, capture(t, func() { invariant.PartitionPermutation(parent, left, right, partitionTest(), "bad") }),
+		"not strictly ascending")
+}
+
+func TestRowIDsSnapshotsOnlyUnderHarpdebug(t *testing.T) {
+	ids := invariant.RowIDs(engine.RowSet{Rows: []int32{4, 7}})
+	if invariant.Enabled != (len(ids) == 2) {
+		t.Fatalf("harpdebug=%v but the snapshot is %v", invariant.Enabled, ids)
+	}
 }
 
 func TestPanelBinsDetectsOutOfRangeBin(t *testing.T) {
