@@ -132,11 +132,12 @@ chaos:
 
 ## bench: run the repo benchmark (BENCHMARK.json: four workloads on real
 ## threads, ten complete sets, about 15 min on 2 cores) and write the
-## dated trajectory point BENCH_<date>.json — commit it with every
-## perf-affecting change; `go run ./benchmark compare a.json b.json`
-## judges one point against another
+## trajectory point BENCH_<date>_<short commit>.json (the commit keeps two
+## points of one day apart) — commit it with every perf-affecting change;
+## `go run ./benchmark compare a.json b.json` judges one point against
+## another
 bench:
-	$(GO) run ./benchmark -sets 10 -out BENCH_$(shell date +%F).json
+	$(GO) run ./benchmark -sets 10 -out BENCH_$(shell date +%F)_$(shell git rev-parse --short HEAD).json
 
 ## benchdiff: the structural regression gate — re-run `experiments bench`
 ## on the virtual 32-worker machine at the committed BENCH_baseline.json's
@@ -169,7 +170,7 @@ trace:
 		-model /tmp/harpgbdt-model.json -trace-out trace.json -profile
 
 # clean removes untracked run outputs only: BENCH_baseline.json and the
-# dated BENCH_<date>.json trajectory points are committed files.
+# BENCH_<date>_<commit>.json trajectory points are committed files.
 clean:
 	rm -f trace.json efficiency.json comms.json cluster-trace.json chaos.json harplint.sarif
 	rm -rf chaos-work

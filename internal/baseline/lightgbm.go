@@ -101,6 +101,7 @@ func (e *LightGBM) buildHist(st *buildState, id int32) {
 	start := time.Now()
 	ns := st.nodes[id]
 	ns.hist = e.hpool.Get()
+	ns.hist.Reset()
 	rows := ns.rows.Rows
 	m := e.ds.NumFeatures()
 	e.pool.ParallelFor(m, 1, func(lo, hi, _ int) {

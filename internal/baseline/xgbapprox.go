@@ -115,6 +115,7 @@ func (e *XGBApprox) buildHistLevel(grad gh.Buffer, nodeOf []int32, nodes []*appr
 	hists := make([]*histogram.Hist, len(active))
 	for i, id := range active {
 		h := e.hpool.Get()
+		h.Reset()
 		nodes[id].hist = h
 		hists[i] = h
 		histIdx[id] = int32(i)

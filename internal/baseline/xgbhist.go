@@ -111,6 +111,7 @@ func (e *XGBHist) buildHist(st *buildState, id int32) {
 	start := time.Now()
 	ns := st.nodes[id]
 	ns.hist = e.hpool.Get()
+	ns.hist.Reset()
 	rows := ns.rows.Rows
 	n := len(rows)
 	workers := e.pool.Workers()

@@ -32,10 +32,13 @@ func TestGoldenModels(t *testing.T) {
 	}
 	fat := synthDS(synth.YFCCLike, 2000, 64)   // 69 % of the binned cells are missing
 	thin := synthDS(synth.HiggsLike, 5000, 28) // nearly dense
-	harp := func(mode core.Mode, workers int, memBuf bool, ds *dataset.Dataset) func() (engine.Builder, error) {
+	harp := func(mode core.Mode, workers int, memBuf bool, ds *dataset.Dataset, opts ...func(*core.Config)) func() (engine.Builder, error) {
 		return func() (engine.Builder, error) {
 			cfg := core.DefaultConfig()
 			cfg.Mode, cfg.Workers, cfg.UseMemBuf = mode, workers, memBuf
+			for _, o := range opts {
+				o(&cfg)
+			}
 			return core.NewBuilder(cfg, ds)
 		}
 	}
@@ -57,6 +60,23 @@ func TestGoldenModels(t *testing.T) {
 			return baseline.NewXGBHist(baseline.Config{Growth: grow.Leafwise, TreeSize: 8,
 				Params: tree.DefaultSplitParams(), Workers: 1}, thin)
 		}, "4426cb5fe8133a898cf0ddc7619968a5d8163ae334b3408b58854fc702dded35"},
+		// The paths the five above do not reach, recorded before FindSplit
+		// was compacted, subtraction fused into it and zeroing moved into the
+		// block tasks. MP bin blocks: each ⟨feature block, bin range⟩ task
+		// zeroes its own cells.
+		{"mp-w2-yfcc-binblock64", fat, harp(core.MP, 2, true, fat,
+			func(c *core.Config) { c.BinBlockSize = 64 }), "4341bd4e304ef240a019fa755683fc38a9d3c56b55515797fc236c665d8b3a6d"},
+		// Pure DP: replicas cleared on first touch, the reduce target up
+		// front. One row block per node keeps every cell's sum on one worker,
+		// so the bits do not depend on which worker ran which task.
+		{"dp-w2-yfcc", fat, harp(core.DP, 2, true, fat,
+			func(c *core.Config) { c.RowBlockSize = fat.NumRows() }), "4341bd4e304ef240a019fa755683fc38a9d3c56b55515797fc236c665d8b3a6d"},
+		// 512 leaves over 2 000 rows: hundreds of nodes holding a handful of
+		// rows, so most bins of most histograms are empty.
+		{"sync-w2-yfcc-d10", fat, harp(core.Sync, 2, true, fat,
+			func(c *core.Config) { c.TreeSize = 10 }), "b5731e942fa26d819f99c8cb021f541f2bf5e39a3a9d35a934f4bf26acb484aa"},
+		{"sync-w2-yfcc-colsample", fat, harp(core.Sync, 2, true, fat,
+			func(c *core.Config) { c.ColSampleByTree, c.Seed = 0.5, 7 }), "af3e53034d5e5f89a876a9a1cbcb21e04e39b117d5575494d07aa090a2dfab7d"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +95,67 @@ func TestGoldenModels(t *testing.T) {
 			sum := sha256.Sum256(buf.Bytes())
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Errorf("model hash %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestIndicatorFeatureSplits: a sparse indicator column — a value where the
+// property holds, missing where it does not — has one bin, and its one split
+// is present-versus-missing. The split scan used to skip every feature with
+// fewer than two bins, so no engine could see it and the label it spells
+// out went unlearned; this is the one place trees differ, on purpose, from
+// the ones TestGoldenModels' hashes were recorded with.
+func TestIndicatorFeatureSplits(t *testing.T) {
+	const rows = 1000
+	d := dataset.NewDense(rows, 1)
+	labels := make([]float32, rows)
+	for i := 0; i < rows; i++ {
+		if i%3 == 0 {
+			d.Set(i, 0, 1)
+			labels[i] = 1
+		} else {
+			d.SetMissing(i, 0)
+		}
+	}
+	ds, err := dataset.FromDense("indicator", d, labels, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harp := func(mode core.Mode, workers int) func() (engine.Builder, error) {
+		return func() (engine.Builder, error) {
+			cfg := core.DefaultConfig()
+			cfg.Mode, cfg.Workers = mode, workers
+			return core.NewBuilder(cfg, ds)
+		}
+	}
+	for name, newBuilder := range map[string]func() (engine.Builder, error){
+		"harp-sync":  harp(core.Sync, 2),
+		"harp-async": harp(core.Async, 1),
+		"xgb-hist": func() (engine.Builder, error) {
+			return baseline.NewXGBHist(baseline.Config{Growth: grow.Leafwise, TreeSize: 8,
+				Params: tree.DefaultSplitParams(), Workers: 1}, ds)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bld, err := newBuilder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Train(bld, ds, Config{Rounds: 3}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tr := range res.Model.Trees {
+				root := tr.Nodes[0]
+				if tr.NumLeaves() != 2 || root.Feature != 0 || root.SplitBin != 0 || root.DefaultLeft {
+					t.Fatalf("tree %d: %d leaves, root %+v; want present (bin 0) left, missing right", i, tr.NumLeaves(), root)
+				}
+				// The present rows carry the positive label: the left leaf
+				// pushes the margin up, the right one down.
+				if l, r := tr.Nodes[root.Left], tr.Nodes[root.Right]; l.Count != 334 || r.Count != 666 || !(l.Weight > 0 && r.Weight < 0) {
+					t.Fatalf("tree %d: left %+v right %+v", i, l, r)
+				}
 			}
 		})
 	}

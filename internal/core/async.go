@@ -144,9 +144,10 @@ func (r *asyncRun) graft(x *expansion, cur *perf.Cursor) {
 }
 
 // process is the private step between graft and publish: the whole
-// per-node pipeline inside one worker. Partition the parent's rows, get
-// the needed child histograms (smaller child + subtraction), evaluate the
-// children's splits and recycle the histograms nothing will read again.
+// per-node pipeline inside one worker. Partition the parent's rows, build
+// the child histograms the plan wants from rows, then block by block
+// subtract and evaluate the children's splits, and recycle the histograms
+// nothing will read again.
 // cur tracks the Work-phase transitions alongside the prof.Lap chain.
 func (r *asyncRun) process(x *expansion, worker int, cur *perf.Cursor) {
 	b, st := r.b, r.st
@@ -171,17 +172,11 @@ func (r *asyncRun) process(x *expansion, worker int, cur *perf.Cursor) {
 			b.buildHistPrivate(st, ns)
 		}
 	}
-	if p.subtract {
-		b.subtractHist(x)
-	}
 	tm = b.prof.Lap(profile.BuildHist, tm)
 	cur.SetPhase(profile.FindSplit)
+	b.findSplits(x)
 	for c, ns := range x.kids {
-		if !p.need[c] {
-			continue
-		}
-		ns.split = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, 0, b.ds.NumFeatures(), b.colMask)
-		if !ns.split.Valid() {
+		if p.need[c] && !ns.split.Valid() {
 			b.releaseHist(ns) // a leaf: nothing reads its histogram again
 		}
 	}
@@ -194,7 +189,7 @@ func (b *Builder) buildHistPrivate(st *buildState, ns *nodeState) {
 	ns.hist = b.hpool.Get()
 	mBuildHistRows.Add(int64(ns.rows.Len()))
 	for fb := 0; fb < b.blocks.NumBlocks(); fb++ {
-		b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, fullBinRange)
+		b.fill(st, ns, fb, fullBinRange)
 	}
 	if invariant.Enabled {
 		invariant.HistFeatureTotals(ns.hist, ns.sum, "core.buildHistPrivate")

@@ -197,8 +197,11 @@ func (b *Builder) newBuildState(grad gh.Buffer) *buildState {
 		queue:  grow.NewQueue(b.cfg.Growth),
 		leaves: 1,
 	}
+	// The root goes through the pipeline as the one child of an expansion
+	// with no parent histogram: built from rows, nothing to subtract.
+	rootX := expansion{kids: [2]*nodeState{root}, plan: planHist([2]bool{true, false}, 0, false)}
 	b.buildHistBatch(st, []int32{0})
-	b.findSplitBatch(st, []int32{0})
+	b.findSplitBatch([]expansion{rootX})
 	b.pushOrFinalize(st, 0)
 	return st
 }
@@ -224,7 +227,8 @@ func (b *Builder) runBatches(st *buildState, while func() bool) int64 {
 }
 
 // processBatch applies the splits of a popped batch and prepares its
-// children: the three barrier phases of one TopK step.
+// children: the three barrier phases of one TopK step (the subtractions
+// ride in the FindSplit tasks).
 func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 	var regions0 int64
 	if b.acc != nil {
@@ -232,12 +236,14 @@ func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 	}
 	xs := b.applySplitBatch(st, batch)
 	st.leaves += len(batch)
-	buildIDs, subs, evalIDs := b.planHists(xs)
-	b.buildHistBatch(st, buildIDs)
-	b.applySubtractions(subs)
-	b.findSplitBatch(st, evalIDs)
-	for _, id := range evalIDs {
-		b.pushOrFinalize(st, id)
+	b.buildHistBatch(st, b.planHists(xs))
+	b.findSplitBatch(xs)
+	for i := range xs {
+		for c, id := range xs[i].ids {
+			if xs[i].plan.need[c] {
+				b.pushOrFinalize(st, id)
+			}
+		}
 	}
 	if b.acc != nil && len(batch) > 0 {
 		// Per-depth synchronization count: the barriers this batch cost,
@@ -314,6 +320,10 @@ type expansion struct {
 	depth int32
 	upper float32  // the split's cut value
 	plan  histPlan // how the children get histograms, known once partitioned
+	// parentCopy is the parent's histogram as it was before the subtraction
+	// overwrote it, kept for settle's conservation check (nil unless
+	// harpdebug).
+	parentCopy *histogram.Hist
 }
 
 // expand counts the split of candidate c and allocates its children from
@@ -443,11 +453,10 @@ func (b *Builder) planFor(x *expansion) histPlan {
 	return x.plan
 }
 
-// planHists plans a batch and turns the plans into the barrier phases'
-// work lists: the nodes to build directly, the expansions to subtract in
-// after building, and the nodes whose splits must then be evaluated.
-// Parent histograms no subtraction will consume are released here.
-func (b *Builder) planHists(xs []expansion) (buildIDs []int32, subs []*expansion, evalIDs []int32) {
+// planHists plans a batch and returns the nodes the BuildHist phase must
+// build from rows. Parent histograms no subtraction will consume are
+// released here.
+func (b *Builder) planHists(xs []expansion) (buildIDs []int32) {
 	for i := range xs {
 		x := &xs[i]
 		p := b.planFor(x)
@@ -455,54 +464,99 @@ func (b *Builder) planHists(xs []expansion) (buildIDs []int32, subs []*expansion
 			if p.build[c] {
 				buildIDs = append(buildIDs, id)
 			}
-			if p.need[c] {
-				evalIDs = append(evalIDs, id)
-			}
 		}
-		if p.subtract {
-			subs = append(subs, x)
-		} else {
+		if !p.subtract {
 			b.releaseHist(x.parent)
 		}
 	}
-	return buildIDs, subs, evalIDs
+	return buildIDs
 }
 
-// applySubtractions performs the planned subtractions in one parallel
-// region.
-func (b *Builder) applySubtractions(subs []*expansion) {
-	if len(subs) == 0 {
+// The FindSplit step of one expansion is handOver, then splitBlock for
+// every feature block, then settle with the blocks' results reduced. The
+// barrier modes run the block steps of a whole batch as one region of
+// ⟨expansion, feature block⟩ tasks (findSplitBatch); an ASYNC worker loops
+// over its node's blocks (findSplits). handOver and settle are serial
+// either way.
+
+// handOver starts x.plan.subtract: the parent's histogram becomes the
+// bigger child's by pointer; its cells turn into the child's block by block
+// in splitBlock.
+func (b *Builder) handOver(x *expansion) {
+	if !x.plan.subtract {
 		return
 	}
-	defer b.beginPhase(profile.BuildHist, obs.StartSpan("phase", "SubHist")).end()
-	tasks := make([]func(int), len(subs))
-	for i := range subs {
-		x := subs[i]
-		tasks[i] = func(w int) {
-			tsp := obs.StartSpanTID("block-task", "sub-hist", w+1)
-			b.subtractHist(x)
-			tsp.End()
-		}
+	if invariant.Enabled {
+		x.parentCopy = x.parent.hist.Clone()
 	}
-	b.pool.RunTasks(tasks)
+	x.kids[1-x.plan.small].hist, x.parent.hist = x.parent.hist, nil
 }
 
-// subtractHist carries out x.plan.subtract: the parent's histogram minus
-// the built smaller child's, in place, becomes the bigger child's.
-func (b *Builder) subtractHist(x *expansion) {
-	parent, built, sibling := x.parent, x.kids[x.plan.small], x.kids[1-x.plan.small]
-	var parentCopy *histogram.Hist
+// childSplits is the best split known for each child of an expansion.
+type childSplits [2]tree.SplitInfo
+
+func noSplits() childSplits { return childSplits{tree.InvalidSplit(), tree.InvalidSplit()} }
+
+// merge folds r, the result of one more feature block, into s.
+func (s *childSplits) merge(r childSplits) {
+	for c := range r {
+		if r[c].Better(s[c]) {
+			s[c] = r[c]
+		}
+	}
+}
+
+// splitBlock is the block step, the only place a block is subtracted or
+// scanned: sibling[block] = parent[block] − built[block] when the plan
+// subtracts, then at once — the block is 16 KB at the default shape and
+// still in L1 — the best split inside the block for each child that needs
+// one.
+func (b *Builder) splitBlock(x *expansion, fb int) childSplits {
+	p := x.plan
+	fLo, fHi, _ := b.blocks.Block(fb)
+	if p.subtract {
+		lo, hi := b.layout.FeatureRange(fLo, fHi)
+		x.kids[1-p.small].hist.SubRange(x.kids[p.small].hist, lo, hi)
+	}
+	best := noSplits()
+	for c, ns := range x.kids {
+		if p.need[c] {
+			best[c] = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, fLo, fHi, b.colMask)
+		}
+	}
+	return best
+}
+
+// settle ends the FindSplit step: the children take their best splits, and
+// a child built only to be subtracted gives its histogram back.
+func (b *Builder) settle(x *expansion, best childSplits) {
+	p := x.plan
+	for c, ns := range x.kids {
+		if p.need[c] {
+			ns.split = best[c]
+		}
+	}
+	if !p.subtract {
+		return
+	}
+	built := x.kids[p.small]
 	if invariant.Enabled {
-		parentCopy = parent.hist.Clone()
+		invariant.HistConservation(x.parentCopy, built.hist, x.kids[1-p.small].hist, "core.settle")
+		x.parentCopy = nil
 	}
-	parent.hist.SubHist(built.hist)
-	sibling.hist, parent.hist = parent.hist, nil
-	if invariant.Enabled {
-		invariant.HistConservation(parentCopy, built.hist, sibling.hist, "core.subtractHist")
+	if !p.need[p.small] {
+		b.releaseHist(built)
 	}
-	if !x.plan.need[x.plan.small] {
-		b.releaseHist(built) // built only to be subtracted
+}
+
+// findSplits is the FindSplit step of one expansion on the calling worker.
+func (b *Builder) findSplits(x *expansion) {
+	b.handOver(x)
+	best := noSplits()
+	for fb := 0; fb < b.blocks.NumBlocks(); fb++ {
+		best.merge(b.splitBlock(x, fb))
 	}
+	b.settle(x, best)
 }
 
 // canSplit reports whether a node at the given depth can possibly be
@@ -554,40 +608,43 @@ func (b *Builder) releaseHist(ns *nodeState) {
 	}
 }
 
-// findSplitBatch evaluates the best split of every listed node: one
-// parallel region of (node x feature block) tasks followed by a
-// deterministic serial reduction.
-func (b *Builder) findSplitBatch(st *buildState, ids []int32) {
-	if len(ids) == 0 {
+// findSplitBatch is the FindSplit step of every expansion of a batch that
+// has a child to evaluate: one parallel region of ⟨expansion, feature
+// block⟩ tasks followed by a deterministic serial reduction.
+func (b *Builder) findSplitBatch(xs []expansion) {
+	var todo []*expansion
+	for i := range xs {
+		if x := &xs[i]; x.plan.need[0] || x.plan.need[1] {
+			todo = append(todo, x)
+		}
+	}
+	if len(todo) == 0 {
 		return
 	}
 	defer b.beginPhase(profile.FindSplit, obs.StartSpan("phase", "FindSplit")).end()
 	nb := b.blocks.NumBlocks()
-	results := make([]tree.SplitInfo, len(ids)*nb)
-	tasks := make([]func(int), 0, len(ids)*nb)
-	for i := range ids {
-		ns := st.nodes[ids[i]]
+	results := make([]childSplits, len(todo)*nb)
+	tasks := make([]func(int), 0, len(results))
+	for i, x := range todo {
+		b.handOver(x)
 		for fb := 0; fb < nb; fb++ {
-			i, fb := i, fb
+			x, fb, r := x, fb, &results[i*nb+fb]
 			tasks = append(tasks, func(w int) {
 				tsp := obs.StartSpanTID("block-task", "find-split", w+1)
 				ttm := profile.StartTimer()
-				fLo, fHi, _ := b.blocks.Block(fb)
-				results[i*nb+fb] = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, fLo, fHi, b.colMask)
+				*r = b.splitBlock(x, fb)
 				mBlockTaskSeconds.Observe(ttm.Elapsed().Seconds())
 				tsp.End()
 			})
 		}
 	}
 	b.pool.RunTasks(tasks)
-	for i, id := range ids {
-		best := tree.InvalidSplit()
-		for fb := 0; fb < nb; fb++ {
-			if r := results[i*nb+fb]; r.Better(best) {
-				best = r
-			}
+	for i, x := range todo {
+		best := noSplits()
+		for _, r := range results[i*nb : (i+1)*nb] {
+			best.merge(r)
 		}
-		st.nodes[id].split = best
+		b.settle(x, best)
 	}
 }
 

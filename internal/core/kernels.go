@@ -92,6 +92,16 @@ func (b *Builder) accumulate(h *histogram.Hist, st *buildState, ns *nodeState, l
 	}
 }
 
+// fill builds block (fb, br) of ns's histogram from all of the node's rows.
+// A pooled histogram's contents are unspecified, so the cells are zeroed
+// first — here, by the task about to write them, not up front by whoever
+// took the histogram from the pool.
+func (b *Builder) fill(st *buildState, ns *nodeState, fb int, br binRange) {
+	fLo, fHi, _ := b.blocks.Block(fb)
+	ns.hist.ResetBins(fLo, fHi, br.lo, br.hi)
+	b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, br)
+}
+
 // buildHistDP is the data-parallel kernel: per-worker histogram replicas
 // accumulated over ⟨node, row block, feature block⟩ tasks, then reduced.
 // node_blk_size nodes share one parallel region, so the region (barrier)
@@ -113,7 +123,9 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 		}
 		group := ids[g:end]
 		for _, id := range group {
+			// The reduce target: every replica is added into all of it.
 			st.nodes[id].hist = b.hpool.Get()
+			st.nodes[id].hist.Reset()
 			mBuildHistRows.Add(int64(st.nodes[id].rows.Len()))
 		}
 		replicas := make([][]*histogram.Hist, workers)
@@ -137,6 +149,7 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 						rep := replicas[w][gi]
 						if rep == nil {
 							rep = b.hpool.Get()
+							rep.Reset() // on first touch, by the worker that fills it
 							replicas[w][gi] = rep
 						}
 						b.accumulate(rep, st, ns, lo, hi, fb, fullBinRange)
@@ -209,8 +222,7 @@ func (b *Builder) buildHistMP(st *buildState, ids []int32) {
 					tsp := obs.StartSpanTID("block-task", "hist-mp", w+1)
 					ttm := profile.StartTimer()
 					for _, id := range group {
-						ns := st.nodes[id]
-						b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, br)
+						b.fill(st, st.nodes[id], fb, br)
 					}
 					mBlockTaskSeconds.Observe(ttm.Elapsed().Seconds())
 					tsp.End()

@@ -421,6 +421,7 @@ func (t *Trainer) buildHists(st *distBuild, ids []int32) error {
 			ns := st.states[id]
 			if ns.hist == nil {
 				ns.hist = t.hpool.Get()
+				ns.hist.Reset()
 			}
 			ns.hist.AccumulateRows(bm, st.grad, ns.rows[s], 0, m)
 		}

@@ -64,9 +64,12 @@ func TestKernelAllocsPinnedAtZero(t *testing.T) {
 		{"AddHist", func() { h.AddHist(o) }},
 		{"AddRange", func() { h.AddRange(o, 0, layout.Cells()) }},
 		{"SubHist", func() { h.SubHist(o) }},
+		{"SubRange", func() { h.SubRange(o, Stride, 3*Stride) }},
 		{"FindBestSplit", func() { _ = h.FindBestSplit(params, total, 0, 6) }},
 		{"FindBestSplitMasked", func() { _ = h.FindBestSplitMasked(params, total, 0, 6, allowed) }},
 		{"Reset", func() { h.Reset() }},
+		{"ResetRange", func() { h.ResetRange(Stride, 3*Stride) }},
+		{"ResetBins", func() { h.ResetBins(0, 6, 4, dataset.MissingBin) }},
 	}
 	for _, k := range kernels {
 		k.run() // warm up any lazy state before counting

@@ -99,17 +99,45 @@ func BenchmarkSubtraction(b *testing.B) {
 	}
 }
 
+// BenchmarkFindBestSplit times the split scan at both ends of what the
+// occupancy compaction trades: a full histogram (every bin of 16 x 64 holds
+// rows; the listing pass is pure overhead) and a small node of a wide layout
+// (255 bins per feature, about 5 % of them occupied; the scan should cost
+// what the node holds).
 func BenchmarkFindBestSplit(b *testing.B) {
-	bm, _, layout, grad, _ := benchFixture(b, 20000, 16)
-	h := NewHist(layout)
-	h.AccumulateRows(bm, grad, allRows(20000), 0, 16)
-	var total gh.Pair
-	for _, p := range grad {
-		total.Add(p)
-	}
 	params := tree.DefaultSplitParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.FindBestSplit(params, total, 0, 16)
-	}
+	b.Run("dense", func(b *testing.B) {
+		bm, _, layout, grad, _ := benchFixture(b, 20000, 16)
+		h := NewHist(layout)
+		h.AccumulateRows(bm, grad, allRows(20000), 0, 16)
+		total := grad.Sum()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkSplit = h.FindBestSplit(params, total, 0, 16)
+		}
+	})
+	b.Run("sparse", func(b *testing.B) {
+		const m, occupied = 16, 13 // 13 of 255 bins
+		nbins := make([]int32, m)
+		for f := range nbins {
+			nbins[f] = 255
+		}
+		h := NewHist(layoutOf(nbins...))
+		var total gh.Pair
+		for f := 0; f < m; f++ {
+			for k := 0; k < occupied; k++ {
+				p := gh.Pair{G: float64(k%5-2) / 3, H: float64(1+k%3) / 7}
+				h.cols[f][uint8((f*7+k*19)%255)].Add(p)
+				if f == 0 {
+					total.Add(p)
+				}
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkSplit = h.FindBestSplit(params, total, 0, m)
+		}
+	})
 }
+
+var sinkSplit tree.SplitInfo

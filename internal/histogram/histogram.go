@@ -10,6 +10,7 @@ package histogram
 
 import (
 	"fmt"
+	"math"
 
 	"harpgbdt/internal/dataset"
 	"harpgbdt/internal/gh"
@@ -141,9 +142,13 @@ func (h *Hist) AddRange(o *Hist, lo, hi int) {
 
 // SubHist computes h -= o cell-wise: the histogram subtraction trick
 // (sibling = parent − built child).
-func (h *Hist) SubHist(o *Hist) {
-	hd := h.Data
-	od := o.Data[:len(hd)]
+func (h *Hist) SubHist(o *Hist) { h.SubRange(o, 0, len(h.Data)) }
+
+// SubRange is SubHist over the flat index range [lo, hi): the subtraction
+// of one feature block, for callers that go on to scan the block while it
+// is still in cache.
+func (h *Hist) SubRange(o *Hist, lo, hi int) {
+	hd, od := h.Data[lo:hi], o.Data[lo:hi]
 	for i := range hd {
 		hd[i].Sub(od[i])
 	}
@@ -179,32 +184,64 @@ func (h *Hist) FindBestSplit(p tree.SplitParams, total gh.Pair, fLo, fHi int) tr
 // FindBestSplitMasked is FindBestSplit restricted to features whose mask
 // entry is true (nil mask = all features). Column subsampling evaluates
 // splits only on the tree's sampled feature set.
+//
+// The scan costs what the node holds, not what the layout could hold: per
+// feature, one branch-free pass lists the bins that are not empty (G and H
+// both ±0), and the feature sum and the candidate enumeration run over that
+// list only. The result is the one a scan of every bin returns, to the last
+// bit: x + ±0 == x for every partial sum that starts at +0, so skipping an
+// empty bin changes no sum, and the candidates of an empty bin b > 0 repeat
+// the prefix of the nearest listed bin below it, to which they lose
+// SplitInfo.Better's tie-break. Bin 0 has no bin below it and is always
+// listed.
 func (h *Hist) FindBestSplitMasked(p tree.SplitParams, total gh.Pair, fLo, fHi int, allowed []bool) tree.SplitInfo {
 	best := tree.InvalidSplit()
+	// occ[:n] are the listed bin ids of the feature at hand, ascending.
+	// occ[0] is never written: bin 0. A cursor masked with Stride-1 (a no-op,
+	// n <= NBins(f) < Stride) and a uint8 bin id index without bounds checks.
+	var occ [Stride]uint8
+	const sign = 1 << 63
 	for f := fLo; f < fHi; f++ {
 		if allowed != nil && !allowed[f] {
 			continue
 		}
-		bins := h.Feature(f)
-		if len(bins) <= 1 {
+		nb := int(h.Layout.nbins[f])
+		if nb == 0 {
 			continue
 		}
+		col := h.cols[f]
+		n := 1
+		for i, c := range col[1:nb] {
+			// u is zero iff G and H are both ±0 (the sign bits are masked
+			// out); adding 2^63-1 carries into the top bit iff it is not.
+			u := (math.Float64bits(c.G) | math.Float64bits(c.H)) &^ sign
+			occ[n&(Stride-1)] = uint8(i + 1)
+			n += int((u + (sign - 1)) >> 63)
+		}
 		featSum := gh.Pair{}
-		for _, b := range bins {
-			featSum.Add(b)
+		for i := 0; i < n; i++ {
+			featSum.Add(col[occ[i&(Stride-1)]])
 		}
 		missG := total.G - featSum.G
 		missH := total.H - featSum.H
+		// The last real bin is no cut of the loop below (nothing present
+		// would go right); when listed it is the list's last entry.
+		last := uint8(nb - 1)
+		cuts := n
+		if occ[(n-1)&(Stride-1)] == last {
+			cuts--
+		}
 		var gl, hl float64
-		for b := 0; b < len(bins)-1; b++ {
-			gl += bins[b].G
-			hl += bins[b].H
+		for i := 0; i < cuts; i++ {
+			b := occ[i&(Stride-1)]
+			gl += col[b].G
+			hl += col[b].H
 			// Missing goes right.
 			grr := total.G - gl
 			hrr := total.H - hl
 			if p.Admissible(hl, hrr) {
 				if g := p.SplitGain(gl, hl, grr, hrr); g > 0 {
-					cand := tree.SplitInfo{Feature: int32(f), Bin: uint8(b), DefaultLeft: false,
+					cand := tree.SplitInfo{Feature: int32(f), Bin: b, DefaultLeft: false,
 						Gain: g, LeftG: gl, LeftH: hl, RightG: grr, RightH: hrr}
 					if cand.Better(best) {
 						best = cand
@@ -219,7 +256,7 @@ func (h *Hist) FindBestSplitMasked(p tree.SplitParams, total gh.Pair, fLo, fHi i
 				hrl := total.H - hll
 				if p.Admissible(hll, hrl) {
 					if g := p.SplitGain(gll, hll, grl, hrl); g > 0 {
-						cand := tree.SplitInfo{Feature: int32(f), Bin: uint8(b), DefaultLeft: true,
+						cand := tree.SplitInfo{Feature: int32(f), Bin: b, DefaultLeft: true,
 							Gain: g, LeftG: gll, LeftH: hll, RightG: grl, RightH: hrl}
 						if cand.Better(best) {
 							best = cand
@@ -233,7 +270,7 @@ func (h *Hist) FindBestSplitMasked(p tree.SplitParams, total gh.Pair, fLo, fHi i
 			gl, hl := featSum.G, featSum.H
 			if p.Admissible(hl, missH) {
 				if g := p.SplitGain(gl, hl, missG, missH); g > 0 {
-					cand := tree.SplitInfo{Feature: int32(f), Bin: uint8(len(bins) - 1), DefaultLeft: false,
+					cand := tree.SplitInfo{Feature: int32(f), Bin: last, DefaultLeft: false,
 						Gain: g, LeftG: gl, LeftH: hl, RightG: missG, RightH: missH}
 					if cand.Better(best) {
 						best = cand

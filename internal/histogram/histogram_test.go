@@ -456,7 +456,7 @@ func TestFindBestSplitGammaThreshold(t *testing.T) {
 }
 
 func TestFindBestSplitSingleBinFeature(t *testing.T) {
-	// A constant (1-bin) feature can never split.
+	// A constant (1-bin) feature with no missing values can never split.
 	d := dataset.NewDense(10, 1)
 	for i := 0; i < 10; i++ {
 		d.Set(i, 0, 5)
@@ -472,6 +472,21 @@ func TestFindBestSplitSingleBinFeature(t *testing.T) {
 	h.AccumulateRows(bm, grad, allRows(10), 0, 1)
 	if s := h.FindBestSplit(tree.DefaultSplitParams(), grad.Sum(), 0, 1); s.Valid() {
 		t.Fatalf("constant feature produced split %+v", s)
+	}
+
+	// An indicator column — present means one value, absent means missing —
+	// has one bin too, and one split: present left, missing right.
+	for i := 0; i < 10; i += 2 {
+		d.SetMissing(i, 0) // the rows with G = -1
+	}
+	bm = dataset.BinDense(d, cuts)
+	h.Reset()
+	h.AccumulateRows(bm, grad, allRows(10), 0, 1)
+	s := h.FindBestSplit(tree.DefaultSplitParams(), grad.Sum(), 0, 1)
+	want := tree.SplitInfo{Feature: 0, Bin: 0, DefaultLeft: false, Gain: s.Gain,
+		LeftG: 5, LeftH: 5, RightG: -5, RightH: 5}
+	if !s.Valid() || s != want {
+		t.Fatalf("indicator feature: split %+v, want %+v with a positive gain", s, want)
 	}
 }
 
@@ -499,29 +514,6 @@ func TestHistTotalSplitInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPool(t *testing.T) {
-	layout := layoutOf(4)
-	p := NewPool(layout)
-	h1 := p.Get()
-	h1.Data[0] = gh.Pair{G: 1, H: 1}
-	p.Put(h1)
-	h2 := p.Get()
-	if h2 != h1 {
-		t.Fatal("pool did not reuse histogram")
-	}
-	if !h2.Data[0].IsZero() {
-		t.Fatal("reused histogram not reset")
-	}
-	h3 := p.Get()
-	if h3 == h2 {
-		t.Fatal("pool returned the same histogram twice")
-	}
-	if p.Allocated() != 2 {
-		t.Fatalf("allocated = %d", p.Allocated())
-	}
-	p.Put(nil) // must not panic
 }
 
 func TestPoolConcurrent(t *testing.T) {
@@ -565,7 +557,7 @@ func compactBestSplit(p tree.SplitParams, total gh.Pair, bins [][]gh.Pair, allow
 		}
 	}
 	for f, fb := range bins {
-		if (allowed != nil && !allowed[f]) || len(fb) <= 1 {
+		if (allowed != nil && !allowed[f]) || len(fb) == 0 {
 			continue
 		}
 		var featSum gh.Pair
@@ -590,13 +582,38 @@ func compactBestSplit(p tree.SplitParams, total gh.Pair, bins [][]gh.Pair, allow
 	return best
 }
 
-// TestFindBestSplitMatchesCompactScan: the strided layout changes where the
-// bins are stored, not what FindSplit computes. On gradients that are not
+// TestFindBestSplitMatchesCompactScan: neither the strided layout nor the
+// occupancy-compacted scan changes what FindSplit computes, only where the
+// bins are stored and which of them are visited. On gradients that are not
 // exactly summable, with and without missing values and with and without a
 // column mask, the split must equal — every field, Gain to the last bit —
-// the scan over compact copies of the same bins.
+// the scan of every bin over compact copies of the same bins.
 func TestFindBestSplitMatchesCompactScan(t *testing.T) {
 	params := tree.SplitParams{Lambda: 1, Gamma: 0.01, MinChildWeight: 0.5}
+	// compare scans h both ways, unmasked and masked, and returns the
+	// unmasked split.
+	compare := func(t *testing.T, h *Hist, total gh.Pair, seed uint64) tree.SplitInfo {
+		t.Helper()
+		m := h.Layout.M
+		bins := make([][]gh.Pair, m)
+		mask := make([]bool, m)
+		for f := range bins {
+			bins[f] = append([]gh.Pair(nil), h.Feature(f)...)
+			mask[f] = (seed+uint64(f))%3 != 0
+		}
+		var unmasked tree.SplitInfo
+		for _, allowed := range [][]bool{mask, nil} {
+			unmasked = h.FindBestSplitMasked(params, total, 0, m, allowed)
+			// != on the struct would call two NaN gains different; no case
+			// here produces one (SplitGain's result must be > 0).
+			if want := compactBestSplit(params, total, bins, allowed); unmasked != want {
+				t.Fatalf("seed %d mask=%v:\n got %+v\nwant %+v", seed, allowed != nil, unmasked, want)
+			}
+		}
+		return unmasked
+	}
+
+	// Fully occupied 20-bin features, filled from rows.
 	const n, m = 600, 7
 	for _, withMissing := range []bool{true, false} {
 		for seed := uint64(40); seed < 52; seed++ {
@@ -621,28 +638,177 @@ func TestFindBestSplitMatchesCompactScan(t *testing.T) {
 			rows := allRows(n)
 			h := NewHist(layout)
 			h.AccumulateRows(bm, grad, rows, 0, m)
-			total := grad.SumRows(rows)
-			bins := make([][]gh.Pair, m)
-			for f := range bins {
-				bins[f] = append([]gh.Pair(nil), h.Feature(f)...)
+			for f := 0; f < m; f++ {
 				if h.Missing(f).IsZero() == withMissing {
 					t.Fatalf("seed %d feature %d: withMissing=%v but missing cell is %+v", seed, f, withMissing, h.Missing(f))
 				}
 			}
-			mask := make([]bool, m)
-			for f := range mask {
-				mask[f] = (seed+uint64(f))%3 != 0
+			if got := compare(t, h, grad.SumRows(rows), seed); !got.Valid() {
+				t.Fatalf("seed %d missing=%v: fixture produced no split", seed, withMissing)
 			}
-			for _, allowed := range [][]bool{nil, mask} {
-				got := h.FindBestSplitMasked(params, total, 0, m, allowed)
-				want := compactBestSplit(params, total, bins, allowed)
-				if got != want {
-					t.Fatalf("seed %d missing=%v mask=%v:\n got %+v\nwant %+v", seed, withMissing, allowed != nil, got, want)
+		}
+	}
+
+	// 255-bin features at every occupancy the compaction is for: each
+	// feature holds `occupied` cells at pseudo-random bins, written directly.
+	// The node total is feature 0's sum plus, when asked, some missing mass;
+	// the other features see their rounding residue against it as missing.
+	wide := layoutOf(255, 255, 255, 255, 255)
+	for _, occupied := range []int{0, 1, 13, 128, 255} {
+		for _, withMissing := range []bool{true, false} {
+			for seed := uint64(60); seed < 66; seed++ {
+				h := NewHist(wide)
+				s := seed
+				next := func() int {
+					s = s*6364136223846793005 + 1442695040888963407
+					return int(s >> 33)
 				}
-				if !got.Valid() {
-					t.Fatalf("seed %d: fixture produced no split", seed)
+				for f := 0; f < wide.M; f++ {
+					perm := make([]int, 255) // a seeded shuffle: the first `occupied` bins hold rows
+					for i := range perm {
+						j := next() % (i + 1)
+						perm[i], perm[j] = perm[j], i
+					}
+					for k, b := range perm[:occupied] {
+						g := float64(k%13-6) / 3
+						if b > 127 {
+							g += 5
+						}
+						h.cols[f][uint8(b)] = gh.Pair{G: g, H: float64(1+k%5) / 7}
+					}
+				}
+				total := h.FeatureSum(0)
+				if withMissing {
+					total.Add(gh.Pair{G: -7.0 / 3, H: 9.0 / 7})
+				}
+				got := compare(t, h, total, seed)
+				if occupied >= 13 && !got.Valid() {
+					t.Fatalf("occupied=%d missing=%v seed %d: fixture produced no split", occupied, withMissing, seed)
 				}
 			}
 		}
 	}
+
+	// The cells a test for "empty" can get wrong. Each case edits one
+	// 255-bin feature that otherwise holds a ramp on a few bins, whose best
+	// cut is at bin 41: a cell below it that goes unlisted moves LeftG/LeftH.
+	ramp := func() (*Hist, gh.Pair) {
+		h := NewHist(layoutOf(255))
+		var total gh.Pair
+		for k, b := range []uint8{3, 40, 41, 97, 200} {
+			p := gh.Pair{G: float64(k*k) - 6.0/7, H: 2.0 / 3}
+			h.cols[0][b] = p
+			total.Add(p)
+		}
+		return h, total
+	}
+	missing := gh.Pair{G: 1.0 / 3, H: 5.0 / 7}
+	adversarial := []struct {
+		name string
+		edit func(h *Hist, total *gh.Pair)
+	}{
+		{"negative zero cells", func(h *Hist, _ *gh.Pair) {
+			negZero := math.Copysign(0, -1)
+			h.cols[0][0] = gh.Pair{G: negZero, H: negZero}
+			h.cols[0][50] = gh.Pair{G: negZero, H: 0}
+		}},
+		{"gradient without hessian", func(h *Hist, total *gh.Pair) {
+			h.cols[0][20] = gh.Pair{G: 2.5}
+			total.G += 2.5
+		}},
+		{"hessian without gradient", func(h *Hist, total *gh.Pair) {
+			h.cols[0][20] = gh.Pair{H: 2.5}
+			total.H += 2.5
+		}},
+		{"denormal cell", func(h *Hist, _ *gh.Pair) {
+			h.cols[0][120] = gh.Pair{G: 5e-324, H: 5e-324}
+		}},
+		{"empty bin 0 with missing mass", func(h *Hist, total *gh.Pair) {
+			total.Add(missing)
+		}},
+		{"occupied bin 0 with missing mass", func(h *Hist, total *gh.Pair) {
+			h.cols[0][0] = gh.Pair{G: -4, H: 1}
+			total.Add(gh.Pair{G: -4, H: 1})
+			total.Add(missing)
+		}},
+		{"last bin occupied", func(h *Hist, total *gh.Pair) {
+			h.cols[0][254] = gh.Pair{G: -9, H: 1.5}
+			total.Add(gh.Pair{G: -9, H: 1.5})
+		}},
+		{"only the last bin occupied", func(h *Hist, total *gh.Pair) {
+			h.Reset()
+			h.cols[0][254] = gh.Pair{G: -9, H: 1.5}
+			*total = gh.Pair{G: -9, H: 1.5}
+			total.Add(missing)
+		}},
+		{"only bin 0 occupied", func(h *Hist, total *gh.Pair) {
+			h.Reset()
+			h.cols[0][0] = gh.Pair{G: -9, H: 1.5}
+			*total = gh.Pair{G: -9, H: 1.5}
+			total.Add(missing)
+		}},
+		{"all-empty feature", func(h *Hist, total *gh.Pair) {
+			h.Reset()
+			*total = gh.Pair{G: 3, H: 4}
+		}},
+		{"unused cells hold garbage", func(h *Hist, total *gh.Pair) {
+			// Between the last real bin and the missing cell nothing is ever
+			// read, whatever a recycled histogram left there.
+			*h = *NewHist(layoutOf(100))
+			h.cols[0][10], h.cols[0][99] = gh.Pair{G: 1, H: 1}, gh.Pair{G: -2, H: 1}
+			h.cols[0][100], h.cols[0][254] = gh.Pair{G: math.NaN(), H: 7}, gh.Pair{G: 1e9, H: 1e9}
+			*total = gh.Pair{G: -1, H: 2}
+		}},
+	}
+	for i, tc := range adversarial {
+		t.Run(tc.name, func(t *testing.T) {
+			h, total := ramp()
+			tc.edit(h, &total)
+			compare(t, h, total, uint64(i))
+		})
+	}
+
+	// Subtraction residues. A histogram that is itself a difference
+	// (grandparent − uncle) carries rounding errors, so when its built child
+	// takes every row of a bin, sibling = parent − built leaves there a cell
+	// that is mathematically empty but holds ±1e-16: not zero, so scanned.
+	t.Run("subtraction residues", func(t *testing.T) {
+		bm, layout, grad := makeFixture(n, m, 20, 77)
+		for i := range grad {
+			grad[i] = gh.Pair{G: float64(i%13-6) / 3, H: float64(1+i%5) / 7}
+		}
+		var uncle, child, rest []int32
+		for _, r := range allRows(n) {
+			switch b := bm.At(int(r), 2); {
+			case r%3 == 0:
+				uncle = append(uncle, r)
+			case b == 4 || b == 5 || b == 11:
+				child = append(child, r)
+			default:
+				rest = append(rest, r)
+			}
+		}
+		sibling, other := NewHist(layout), NewHist(layout)
+		sibling.AccumulateRows(bm, grad, allRows(n), 0, m)
+		other.AccumulateRows(bm, grad, uncle, 0, m)
+		sibling.SubHist(other) // the parent
+		other.Reset()
+		other.AccumulateRows(bm, grad, child, 0, m)
+		sibling.SubHist(other) // the parent minus its built child
+		residues := 0
+		for _, b := range []uint8{4, 5, 11} {
+			if c := sibling.At(2, b); !c.IsZero() {
+				if math.Abs(c.G) > 1e-9 || math.Abs(c.H) > 1e-9 {
+					t.Fatalf("bin %d of the sibling holds %+v, not a residue", b, c)
+				}
+				residues++
+			}
+		}
+		if residues == 0 {
+			t.Fatal("fixture left no rounding residue in the emptied bins")
+		}
+		if got := compare(t, sibling, grad.SumRows(rest), 77); !got.Valid() {
+			t.Fatal("fixture produced no split")
+		}
+	})
 }

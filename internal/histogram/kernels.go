@@ -94,6 +94,22 @@ func binSpan(binLo, binHi uint8) uint8 {
 	return binHi - 1 - binLo
 }
 
+// ResetBins zeroes the cells a bin-range kernel called with the same
+// arguments may write: bins [binLo, binHi) of features [fLo, fHi), plus
+// their missing-value cells when the range ends at dataset.MissingBin. A
+// task that fills a block of a pooled histogram (whose contents are
+// unspecified) calls it first; (0, MissingBin) clears whole features.
+func (h *Hist) ResetBins(fLo, fHi int, binLo, binHi uint8) {
+	if binLo >= binHi {
+		return
+	}
+	n := int(binSpan(binLo, binHi)) + 1
+	for f := fLo; f < fHi; f++ {
+		lo := f*Stride + int(binLo)
+		h.ResetRange(lo, lo+n)
+	}
+}
+
 // AccumulatePanelRowsBinRange is AccumulatePanelRows restricted to bins in
 // [binLo, binHi) of every feature in the block — the bin-level parallelism
 // of Sec. IV-A. Rows whose bin falls outside the range are read but not

@@ -1,6 +1,11 @@
 package histogram
 
-import "harpgbdt/internal/sched"
+import (
+	"math"
+
+	"harpgbdt/internal/gh"
+	"harpgbdt/internal/sched"
+)
 
 // Pool recycles node histograms so tree building does not allocate one
 // GHSum-sized slab per node. XGBoost and LightGBM both carry an equivalent
@@ -27,15 +32,18 @@ func NewPool(l *Layout) *Pool {
 // Layout returns the pool's histogram layout.
 func (p *Pool) Layout() *Layout { return p.layout }
 
-// Get returns a zeroed histogram, reusing a released one when available.
+// Get returns a histogram, reusing a released one when available. Its
+// contents are unspecified: whoever fills it zeroes the cells it owns
+// (ResetBins in a block task, Reset for a whole histogram) right before
+// scattering into them, so clearing is spread over the tasks and touches
+// lines about to be written instead of costing the caller one pass over
+// the whole slab per node.
 func (p *Pool) Get() *Hist {
 	p.mu.Lock()
-	var h *Hist
 	if n := len(p.free); n > 0 {
-		h = p.free[n-1]
+		h := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		h.Reset()
 		return h
 	}
 	p.allocated++
@@ -44,10 +52,18 @@ func (p *Pool) Get() *Hist {
 }
 
 // Put releases a histogram back to the pool. The histogram must not be used
-// afterwards.
+// afterwards. Under the harpdebug tag it is filled with NaN, so a cell its
+// next owner reads without having zeroed it fails the invariant layer's
+// histogram totals instead of passing for a stale sum.
 func (p *Pool) Put(h *Hist) {
 	if h == nil {
 		return
+	}
+	if debugTagEnabled {
+		nan := math.NaN()
+		for i := range h.Data {
+			h.Data[i] = gh.Pair{G: nan, H: nan}
+		}
 	}
 	p.mu.Lock()
 	p.free = append(p.free, h) //harplint:ignore spinscope -- free-list append; capacity reaches steady state after the first tree, so this almost never allocates

@@ -1,9 +1,55 @@
 package histogram
 
 import (
+	"math"
 	"sync"
 	"testing"
+
+	"harpgbdt/internal/dataset"
+	"harpgbdt/internal/gh"
 )
+
+// TestPool: the pool hands the same storage back, makes no promise about
+// what is in it — the filler zeroes what it owns — and under harpdebug has
+// poisoned it, so that reading a cell nobody zeroed cannot pass for a sum.
+func TestPool(t *testing.T) {
+	layout := layoutOf(4)
+	p := NewPool(layout)
+	h1 := p.Get()
+	for i := range h1.Data {
+		if !h1.Data[i].IsZero() {
+			t.Fatalf("fresh histogram cell %d = %+v", i, h1.Data[i])
+		}
+	}
+	h1.Data[0] = gh.Pair{G: 1, H: 1}
+	p.Put(h1)
+	h2 := p.Get()
+	if h2 != h1 {
+		t.Fatal("pool did not reuse histogram")
+	}
+	if debugTagEnabled {
+		for i, c := range h2.Data {
+			if !math.IsNaN(c.G) || !math.IsNaN(c.H) {
+				t.Fatalf("harpdebug: released cell %d not poisoned: %+v", i, c)
+			}
+		}
+	}
+	// The filler's side of the contract, on the block it is about to write.
+	h2.ResetBins(0, 1, 0, dataset.MissingBin)
+	for i := range h2.Data {
+		if !h2.Data[i].IsZero() {
+			t.Fatalf("cell %d after ResetBins: %+v", i, h2.Data[i])
+		}
+	}
+	h3 := p.Get()
+	if h3 == h2 {
+		t.Fatal("pool returned the same histogram twice")
+	}
+	if p.Allocated() != 2 {
+		t.Fatalf("allocated = %d", p.Allocated())
+	}
+	p.Put(nil) // must not panic
+}
 
 // TestPoolConcurrentGetPut hammers the spin-mutex-guarded free list from
 // many goroutines (run under -race by the race-sanitize target) and checks

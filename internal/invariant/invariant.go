@@ -93,14 +93,15 @@ func SplitConservation(parent, left, right gh.Pair, ctx string) {
 
 // HistConservation checks parent ≈ left + right cell-wise: the state the
 // histogram subtraction trick assumes when it derives one sibling from the
-// other. Histograms must share a layout.
+// other. Histograms must share a layout. A NaN cell fails: under harpdebug
+// that is what histogram.Pool leaves in a cell nobody zeroed.
 func HistConservation(parent, left, right *histogram.Hist, ctx string) {
 	if !Enabled {
 		return
 	}
 	for i := range parent.Data {
 		p, l, r := parent.Data[i], left.Data[i], right.Data[i]
-		if math.Abs(p.G-l.G-r.G) > tol(math.Abs(p.G)) || math.Abs(p.H-l.H-r.H) > tol(math.Abs(p.H)) {
+		if !(math.Abs(p.G-l.G-r.G) <= tol(math.Abs(p.G))) || !(math.Abs(p.H-l.H-r.H) <= tol(math.Abs(p.H))) {
 			Failf("%s: histogram cell %d not conserved: parent=%+v left=%+v right=%+v",
 				ctx, i, p, l, r)
 		}

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,11 @@ func TestHistConservationDetectsCorruption(t *testing.T) {
 		t.Fatalf("conserved histogram flagged: %q", msgs)
 	}
 	left.Data[1].H += 1 // corrupt one GHSum cell
+	expect(t, capture(t, func() { invariant.HistConservation(parent, left, right, "bad") }),
+		"not conserved")
+	// A cell of a recycled histogram that its filler never zeroed: the
+	// pool's poison must not compare as conserved.
+	left.Data[1].H = math.NaN()
 	expect(t, capture(t, func() { invariant.HistConservation(parent, left, right, "bad") }),
 		"not conserved")
 }

@@ -48,8 +48,8 @@ type HotRoot struct {
 }
 
 // DefaultHotRoots returns the module's kernel roots: the histogram
-// accumulation and split-finding kernels, and the core builder's
-// per-block accumulate driver.
+// accumulation, reduction, subtraction, zeroing and split-finding kernels,
+// and the core builder's per-block accumulate driver.
 func DefaultHotRoots() []HotRoot {
 	return []HotRoot{
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Accumulate"},
@@ -57,6 +57,8 @@ func DefaultHotRoots() []HotRoot {
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "AddHist"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "AddRange"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "SubHist"},
+		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "SubRange"},
+		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Reset"},
 		{PkgSuffix: "internal/core", Recv: "Builder", NamePrefix: "accumulate"},
 	}
 }
