@@ -226,51 +226,67 @@ func BenchmarkTrainPerTree(b *testing.B) {
 }
 
 // BenchmarkPredict measures prediction latency: the naive pointer walk
-// against the compiled serving representation, single-row and batch.
+// against the compiled serving kernel, single-row and batch, on a small
+// model and on the repo benchmark's `predict-batch` shape (D=10 x 60
+// leaf-wise trees, ~61k nodes) — the kernel's `go test -bench` handle.
 func BenchmarkPredict(b *testing.B) {
-	train, testX, _, err := SynthesizeTrainTest(SynthConfig{Spec: HiggsLike, Rows: 5000, Seed: 9}, 100, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := Train(train, Options{Boost: BoostConfig{Rounds: 20}}, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flat, err := CompileModel(res.Model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := testX.Row(0)
-	scratch := flat.NewScratch()
-	out := make([]float64, testX.N)
-	b.Run("naive-row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = res.Model.Predict(row)
-		}
-	})
-	b.Run("flat-row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = flat.PredictRow(row, scratch)
-		}
-	})
-	b.Run("naive-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < testX.N; r++ {
-				out[r] = res.Model.Predict(testX.Row(r))
+	for _, shape := range []struct {
+		name                       string
+		rows, bins, treeSize, rnds int
+	}{
+		{"small", 5000, 64, 8, 20},
+		{"predict-batch", 100000, 256, 10, 60},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			train, testX, _, err := SynthesizeTrainTest(SynthConfig{Spec: HiggsLike, Rows: shape.rows + 2000, Seed: 9}, 2000, shape.bins)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*testX.N), "ns/row")
-	})
-	b.Run("flat-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			flat.PredictRangeInto(testX, 0, testX.N, out, scratch)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*testX.N), "ns/row")
-	})
+			opts := Options{
+				Harp:  HarpConfig{Mode: Async, K: 32, Growth: Leafwise, TreeSize: shape.treeSize, FeatureBlockSize: 4, NodeBlockSize: 32, UseMemBuf: true},
+				Boost: BoostConfig{Rounds: shape.rnds},
+			}
+			res, err := Train(train, opts, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			flat, err := CompileModel(res.Model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			row := testX.Row(0)
+			scratch := flat.NewScratch()
+			out := make([]float64, testX.N)
+			b.Run("naive-row", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = res.Model.Predict(row)
+				}
+			})
+			b.Run("flat-row", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = flat.PredictRow(row, scratch)
+				}
+			})
+			b.Run("naive-batch", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < testX.N; r++ {
+						out[r] = res.Model.Predict(testX.Row(r))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*testX.N), "ns/row")
+			})
+			b.Run("flat-batch", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					flat.PredictRangeInto(testX, 0, testX.N, out, scratch)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*testX.N), "ns/row")
+			})
+		})
+	}
 }
 
 // BenchmarkAUC measures the evaluation metric itself.

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -83,6 +84,27 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 	if lines := strings.Count(string(content), "\n"); lines != 3 {
 		t.Fatalf("predictions: %q", content)
+	}
+	// predict scores through the compiled kernel; its output must be the
+	// bytes the naive Model.PredictDense walk would have printed.
+	m, err := harpgbdt.LoadModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _, err := harpgbdt.ReadLibSVMRaw(strings.NewReader(lib), 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := m.PredictDense(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, p := range naive {
+		fmt.Fprintf(&want, "%.6f\n", p)
+	}
+	if string(content) != want.String() {
+		t.Fatalf("predict printed %q, the naive walk gives %q", content, want.String())
 	}
 
 	out = runCLI(t, bin, "importance", "-model", model, "-top", "3")

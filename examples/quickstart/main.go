@@ -35,11 +35,14 @@ func main() {
 	fmt.Printf("trained %d trees in %v (%v per tree)\n",
 		res.Model.NumTrees(), res.TrainTime, res.AvgTreeTime())
 
-	// 3. Predict on raw feature vectors.
-	preds, err := res.Model.PredictDense(testX)
+	// 3. Predict on raw feature vectors, through the compiled kernel
+	// (Model.PredictDense gives the same scores, several times slower).
+	flat, err := harpgbdt.CompileModel(res.Model)
 	if err != nil {
 		log.Fatal(err)
 	}
+	preds := make([]float64, testX.N)
+	flat.PredictRangeInto(testX, 0, testX.N, preds, flat.NewScratch())
 	fmt.Printf("test AUC %.4f, error rate %.4f\n",
 		harpgbdt.AUC(preds, testY), harpgbdt.ErrorRate(preds, testY))
 

@@ -1,9 +1,6 @@
 package harpgbdt
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestCrossValidateFacade(t *testing.T) {
 	ds, err := Synthesize(SynthConfig{Spec: HiggsLike, Rows: 2400, Seed: 8}, 64)
@@ -70,37 +67,5 @@ func TestTrainMulticlassFacade(t *testing.T) {
 	}
 	if acc := float64(correct) / float64((n+6)/7); acc < 0.95 {
 		t.Fatalf("multiclass accuracy %f", acc)
-	}
-}
-
-func TestModelPredictDenseParallel(t *testing.T) {
-	train, testX, _, err := SynthesizeTrainTest(SynthConfig{Spec: HiggsLike, Rows: 3000, Seed: 10}, 1000, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Train(train, Options{Boost: BoostConfig{Rounds: 5}}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := res.Model.PredictDense(testX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := res.Model.PredictDenseParallel(testX, NewPool(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if math.Abs(serial[i]-parallel[i]) > 1e-15 {
-			t.Fatalf("parallel prediction differs at row %d", i)
-		}
-	}
-	// nil pool falls back to serial.
-	fallback, err := res.Model.PredictDenseParallel(testX, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fallback[0] != serial[0] {
-		t.Fatal("nil-pool fallback differs")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"harpgbdt/internal/dataset"
 	"harpgbdt/internal/objective"
 	"harpgbdt/internal/safeio"
-	"harpgbdt/internal/sched"
 	"harpgbdt/internal/tree"
 )
 
@@ -68,28 +67,6 @@ func (m *Model) PredictDense(d *dataset.Dense) ([]float64, error) {
 	for i := 0; i < d.N; i++ {
 		out[i] = obj.Transform(m.PredictMargin(d.Row(i), 0))
 	}
-	return out, nil
-}
-
-// PredictDenseParallel is PredictDense with the rows spread across a worker
-// pool (prediction is embarrassingly parallel over rows).
-func (m *Model) PredictDenseParallel(d *dataset.Dense, pool *sched.Pool) ([]float64, error) {
-	if pool == nil || pool.Workers() == 1 {
-		return m.PredictDense(d)
-	}
-	if d.M != m.NumFeatures {
-		return nil, fmt.Errorf("boost: model expects %d features, matrix has %d", m.NumFeatures, d.M)
-	}
-	obj, err := objective.New(m.Objective)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, d.N)
-	pool.ParallelFor(d.N, 0, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			out[i] = obj.Transform(m.PredictMargin(d.Row(i), 0))
-		}
-	})
 	return out, nil
 }
 

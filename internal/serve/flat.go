@@ -1,38 +1,33 @@
 // Package serve is the inference path of the trainer: it compiles a
-// trained ensemble into a contiguous structure-of-arrays layout (the
-// serving analog of the 1-byte binned representation the engines train
-// on), predicts batch-at-a-time through the sched pool, and wraps the
-// whole path in the observability layer (latency histograms, request
-// spans on a dedicated trace lane, structured access logs, admission
-// control) that the training side already has.
+// trained ensemble into one array of 12-byte node records, predicts
+// batch-at-a-time through the sched pool, and wraps the whole path in
+// the observability layer (latency histograms, request spans on a
+// dedicated trace lane, structured access logs, admission control) that
+// the training side already has.
 //
-// The compiled layout mirrors the paper's "Input" structure (Fig. 5):
-// per-feature quantized thresholds plus flat node arrays indexed by bin
-// id. Compilation derives the threshold table from the model itself —
-// the sorted distinct split values the ensemble actually uses per
-// feature — so a compiled model is self-contained (no training-time cut
-// table needed). The layout admits two walks: the binned walk (quantize
-// the row once, then compare 1-byte bin ids — the training
-// representation's semantics) and the value walk (compare the raw
-// float32 against the node's threshold value, no quantization pass).
-// They are provably identical — bin(v) <= b exactly when v <=
-// threshold[b] over sorted distinct thresholds — and a test pins the
-// equivalence bitwise. The serving kernels use the value walk: binning
-// costs O(features x log thresholds) per row, which only amortizes when
-// the ensemble is much deeper than the row is wide.
+// There is one scoring kernel, PredictRangeInto, and it is the paper's
+// block idea (Sec. IV-A) applied to prediction: a block of rows is keyed
+// once — every float32 becomes an int32 with the same order — and then
+// each tree in turn, small enough to stay in L1, has the whole block
+// pass through it, eight rows in flight as eight independent chains. A
+// step is one integer compare, left + b2i(keys[off] > tkey): a missing
+// value needs no test because the block is keyed twice, once with NaN
+// above every threshold and once below, and a node reads the column that
+// matches its default direction; a leaf steps to itself, so rows that
+// arrive early wait without a branch. DESIGN.md ("The keyed block
+// kernel") has the measurements and the variants that lost.
 //
-// Bit-identity with the pointer walk is a hard invariant, not a
-// tolerance: for every threshold t in the model, v <= t exactly when
-// bin(v) <= bin(t), because bin() is an unclamped lower-bound search
-// over the model's own thresholds; NaN maps to a sentinel driving the
-// DefaultLeft branch; and margins accumulate in the same float64 order
+// Bit-identity with the pointer walk (tree.PredictRowRaw) is a hard
+// invariant, not a tolerance: fkey(v) > fkey(t) exactly when v > t for
+// every non-NaN pair, and margins accumulate in the same float64 order
 // (base score, then trees in training order). The equivalence tests pin
-// this across engines, objectives and the multiclass path.
+// this across engines, objectives, the multiclass path and a hand-built
+// model of edge thresholds.
 package serve
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"harpgbdt/internal/boost"
 	"harpgbdt/internal/dataset"
@@ -40,46 +35,43 @@ import (
 	"harpgbdt/internal/tree"
 )
 
-// missingBin is the scratch-buffer sentinel for a missing (NaN) feature
-// value. Scratch bins are uint16 so the sentinel can never collide with
-// a real bin id: a feature has at most 255 distinct thresholds, so real
-// ids (including the above-all-thresholds overflow id) stay <= 255.
-const missingBin = ^uint16(0)
+// lanes is the number of rows that advance through a tree together: eight
+// independent load-compare-add chains in one loop, enough to hide the two
+// dependent L1 loads of a step behind the other seven.
+const lanes = 8
 
-// maxThresholds bounds the per-feature threshold count so node
-// thresholds fit the 1-byte bin ids of the training representation. A
-// model trained on <= 255-bin cuts can never exceed it (its split
-// values are a subset of one cut table per feature).
-const maxThresholds = 255
+// keyBlockBytes bounds the keyed copy of one row block so that it stays
+// cache-resident next to the tree the block is walking: 64 rows of a
+// 28-feature model, the minimum of one lane group when rows are wide.
+const (
+	keyBlockBytes = 16 << 10
+	maxBlockRows  = 64
+)
 
-// Flat is a compiled ensemble: every tree's nodes flattened into shared
-// structure-of-arrays slices, split thresholds quantized to per-feature
-// bin ids, leaf values side by side in float64. Compile once, predict
-// from any number of goroutines (Flat is immutable after compilation;
-// per-row scratch state lives in Scratch).
+// node is one compiled tree node. A step of the walk is
+// j = left + b2i(keys[off] > tkey): one integer compare, no branch.
+type node struct {
+	tkey int32  // fkey(split value); MaxInt32 on a leaf, so the compare is never true
+	off  uint32 // lanes x the key column: 2 x feature where missing goes right, one more where it goes left
+	left uint32 // left child, the right one is left+1 (tree.AddChildren guarantees it); a leaf points at itself
+}
+
+// Flat is a compiled ensemble: every tree's nodes flattened into one
+// array of 12-byte records in training order, leaf weights side by side
+// in float64. Compile once, predict from any number of goroutines (Flat
+// is immutable after compilation; per-block state lives in Scratch).
 type Flat struct {
 	numFeatures int
 	numClass    int       // 1 = binary/regression margin model
 	baseScores  []float64 // length numClass
 	obj         objective.Objective
 
-	// Per-feature threshold table, CSR layout: feature f's sorted
-	// distinct split values are cutVals[cutPtr[f]:cutPtr[f+1]].
-	cutPtr  []int32
-	cutVals []float32
-
-	// Node arrays, all trees concatenated. treeStart[t] is tree t's
-	// root; a node's right child is always left+1 (guaranteed by
-	// tree.AddChildren, verified at compile time), so one child index
-	// suffices. left < 0 marks a leaf carrying weight.
-	treeStart []int32
-	treeClass []int32 // class of each tree's margin accumulator
-	left      []int32
-	feat      []int32
-	bin       []uint8
-	thresh    []float32 // cutVals[cutPtr[feat]+bin], denormalized for the value walk
-	defLeft   []bool
-	weight    []float64
+	cols      int      // key columns per row: 2 x numFeatures
+	blockRows int      // rows keyed and walked per block, a multiple of lanes
+	treeStart []uint32 // root of each tree
+	treeClass []int32  // class of each tree's margin accumulator
+	nodes     []node
+	weight    []float64 // leaf weights, by node
 }
 
 // NumFeatures returns the expected row width.
@@ -92,24 +84,23 @@ func (f *Flat) NumClass() int { return f.numClass }
 func (f *Flat) NumTrees() int { return len(f.treeStart) }
 
 // NumNodes returns the total flattened node count.
-func (f *Flat) NumNodes() int { return len(f.left) }
+func (f *Flat) NumNodes() int { return len(f.nodes) }
 
-// NumThresholds returns the size of the model-implied threshold table.
-func (f *Flat) NumThresholds() int { return len(f.cutVals) }
-
-// Scratch is the per-goroutine mutable state of prediction: one row's
-// binned features and the multiclass margin accumulator. Allocate one
-// per worker with NewScratch; the kernels then allocate nothing.
+// Scratch is the per-goroutine mutable state of prediction: one row
+// block's keys (lane-interleaved: row r of the block, column c at
+// (r/lanes*cols+c)*lanes + r%lanes) and its margin accumulators.
+// Allocate one per worker with NewScratch; the kernel then allocates
+// nothing.
 type Scratch struct {
-	bins    []uint16
+	keys    []int32
 	margins []float64
 }
 
 // NewScratch allocates scratch state sized for this model.
 func (f *Flat) NewScratch() *Scratch {
 	return &Scratch{
-		bins:    make([]uint16, f.numFeatures),
-		margins: make([]float64, f.numClass),
+		keys:    make([]int32, f.blockRows*f.cols),
+		margins: make([]float64, f.blockRows*f.numClass),
 	}
 }
 
@@ -177,12 +168,10 @@ type treeRef struct {
 	class int32
 }
 
-// flatten builds the threshold table and node arrays from the trees.
+// flatten builds the node records from the trees. Node ids equal their
+// slice index (validated), so a child's flat index is the tree's base
+// plus its id.
 func (f *Flat) flatten(trees []treeRef) error {
-	// Pass 1: collect the distinct split values each feature uses, and
-	// derive the feature count when the model does not carry one.
-	maxFeat := -1
-	perFeat := map[int32][]float32{}
 	total := 0
 	for ti, tr := range trees {
 		if tr.t == nil || len(tr.t.Nodes) == 0 {
@@ -190,165 +179,130 @@ func (f *Flat) flatten(trees []treeRef) error {
 		}
 		total += len(tr.t.Nodes)
 		for i := range tr.t.Nodes {
-			n := &tr.t.Nodes[i]
-			if n.IsLeaf() {
-				continue
-			}
-			if n.Right != n.Left+1 {
-				return fmt.Errorf("serve: tree %d node %d violates right==left+1 (%d, %d)", ti, i, n.Left, n.Right)
-			}
-			if float64(n.SplitValue) != float64(n.SplitValue) {
-				return fmt.Errorf("serve: tree %d node %d has NaN split value", ti, i)
-			}
-			if n.Feature > int32(maxFeat) {
-				maxFeat = int(n.Feature)
-			}
-			vals := perFeat[n.Feature]
-			found := false
-			for _, v := range vals {
-				if v == n.SplitValue {
-					found = true
-					break
-				}
-			}
-			if !found {
-				perFeat[n.Feature] = append(vals, n.SplitValue)
+			// The feature count is derived when the model does not carry one.
+			if n := &tr.t.Nodes[i]; !n.IsLeaf() && int(n.Feature) >= f.numFeatures {
+				f.numFeatures = int(n.Feature) + 1
 			}
 		}
 	}
-	if f.numFeatures <= maxFeat {
-		f.numFeatures = maxFeat + 1
+	if uint64(total) > math.MaxUint32 {
+		return fmt.Errorf("serve: %d nodes do not fit a 32-bit node index", total)
 	}
-	f.cutPtr = make([]int32, f.numFeatures+1)
-	for feat := 0; feat < f.numFeatures; feat++ {
-		vals := perFeat[int32(feat)]
-		if len(vals) > maxThresholds {
-			return fmt.Errorf("serve: feature %d uses %d distinct thresholds (max %d)", feat, len(vals), maxThresholds)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		f.cutPtr[feat+1] = f.cutPtr[feat] + int32(len(vals))
-		f.cutVals = append(f.cutVals, vals...)
-	}
-	// Pass 2: node arrays. Node ids equal their slice index (validated),
-	// so a child's flat index is the tree's base plus its id.
-	f.treeStart = make([]int32, 0, len(trees))
+	f.cols = max(2*f.numFeatures, 1) // a leaf reads column 0
+	f.blockRows = min(max(keyBlockBytes/(4*f.cols)/lanes*lanes, lanes), maxBlockRows)
+	f.treeStart = make([]uint32, 0, len(trees))
 	f.treeClass = make([]int32, 0, len(trees))
-	f.left = make([]int32, 0, total)
-	f.feat = make([]int32, 0, total)
-	f.bin = make([]uint8, 0, total)
-	f.thresh = make([]float32, 0, total)
-	f.defLeft = make([]bool, 0, total)
+	f.nodes = make([]node, 0, total)
 	f.weight = make([]float64, 0, total)
-	for _, tr := range trees {
-		base := int32(len(f.left))
+	for ti, tr := range trees {
+		base := uint32(len(f.nodes))
 		f.treeStart = append(f.treeStart, base)
 		f.treeClass = append(f.treeClass, tr.class)
 		for i := range tr.t.Nodes {
 			n := &tr.t.Nodes[i]
 			if n.IsLeaf() {
-				f.left = append(f.left, -1)
-				f.feat = append(f.feat, 0)
-				f.bin = append(f.bin, 0)
-				f.thresh = append(f.thresh, 0)
-				f.defLeft = append(f.defLeft, false)
+				f.nodes = append(f.nodes, node{tkey: math.MaxInt32, left: base + uint32(i)})
 				f.weight = append(f.weight, n.Weight)
 				continue
 			}
-			lo, hi := f.cutPtr[n.Feature], f.cutPtr[n.Feature+1]
-			idx := sort.Search(int(hi-lo), func(k int) bool {
-				return f.cutVals[int(lo)+k] >= n.SplitValue
-			})
-			if int32(idx) >= hi-lo || f.cutVals[int(lo)+idx] != n.SplitValue {
-				return fmt.Errorf("serve: internal error: threshold %v of feature %d missing from cut table", n.SplitValue, n.Feature)
+			// What the walk rests on: siblings adjacent, children after
+			// their parent (so every path ends), a key column to read.
+			if n.Right != n.Left+1 || n.Left <= int32(i) || int(n.Right) >= len(tr.t.Nodes) || n.Feature < 0 {
+				return fmt.Errorf("serve: tree %d node %d: children (%d, %d) or feature %d out of order", ti, i, n.Left, n.Right, n.Feature)
 			}
-			f.left = append(f.left, base+n.Left)
-			f.feat = append(f.feat, n.Feature)
-			f.bin = append(f.bin, uint8(idx))
-			f.thresh = append(f.thresh, n.SplitValue)
-			f.defLeft = append(f.defLeft, n.DefaultLeft)
+			if n.SplitValue != n.SplitValue {
+				return fmt.Errorf("serve: tree %d node %d has NaN split value", ti, i)
+			}
+			col := 2 * int(n.Feature)
+			if n.DefaultLeft {
+				col++
+			}
+			f.nodes = append(f.nodes, node{tkey: fkey(n.SplitValue), off: uint32(col * lanes), left: base + uint32(n.Left)})
 			f.weight = append(f.weight, 0)
 		}
 	}
 	return nil
 }
 
-// binRow quantizes one raw row into scratch bins: NaN becomes the
-// missing sentinel, everything else the unclamped lower-bound index
-// into the feature's threshold table (values above every threshold get
-// the overflow id, one past the last threshold — never clamped, so
-// "goes right of the largest split" survives quantization).
-func (f *Flat) binRow(row []float32, bins []uint16) {
-	for feat := 0; feat < f.numFeatures; feat++ {
-		v := row[feat]
-		if v != v {
-			bins[feat] = missingBin
-			continue
-		}
-		lo, hi := int(f.cutPtr[feat]), int(f.cutPtr[feat+1])
-		// Inline lower bound: first threshold >= v.
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if f.cutVals[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		bins[feat] = uint16(lo - int(f.cutPtr[feat]))
+// fkey maps a non-NaN float32 to an int32 with the same order:
+// fkey(a) > fkey(b) exactly when a > b. Adding zero folds -0 into +0
+// (they compare equal); the magnitude bits of a non-negative float
+// already order as integers, and complementing them reverses the order
+// for the negative ones. The real keys end at fkey(±Inf) = 0x7f800000
+// and its complement.
+func fkey(v float32) int32 {
+	b := int32(math.Float32bits(v + 0))
+	return b&math.MaxInt32 ^ b>>31
+}
+
+func b2i(b bool) uint64 {
+	var i uint64
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// keyRow writes one row's keys into its lane of a key group, twice per
+// feature: fkey(v) in both columns, except that a missing value (NaN,
+// either sign: magnitude bits above 0x7f800000) becomes those bits
+// themselves in the even column — above every real key, so the walk goes
+// right — and their complement in the odd one, below every real key.
+// Which column a node reads is its default direction, fixed at compile
+// time: a missing value costs the walk nothing, and keying has no branch
+// for a sparse row to mispredict.
+func keyRow(row []float32, group []int32) {
+	for c, v := range row {
+		b := int32(math.Float32bits(v + 0))
+		a, s := b&math.MaxInt32, b>>31
+		nan := (0x7f800000 - a) >> 31 // all ones on NaN
+		p := (*[lanes + 1]int32)(group[c*2*lanes:])
+		p[0] = a ^ (s &^ nan)
+		p[lanes] = p[0] ^ nan
 	}
 }
 
-// marginsInto accumulates every tree's leaf weight into s.margins (one
-// accumulator per class), in training order on top of the base scores —
-// the same float64 additions, in the same order, as the pointer walk.
-// This is the value walk: one contiguous-array compare per node, no
-// quantization pass.
-func (f *Flat) marginsInto(row []float32, s *Scratch) {
-	copy(s.margins, f.baseScores)
-	for t := 0; t < len(f.treeStart); t++ {
-		i := f.treeStart[t]
-		for f.left[i] >= 0 {
-			v := row[f.feat[i]]
-			l := f.left[i]
-			if v != v { // NaN = missing
-				if !f.defLeft[i] {
-					l++
-				}
-			} else if v > f.thresh[i] {
-				l++
-			}
-			i = l
+// walk advances the eight rows of one key group from the root of a tree
+// to their leaves, as eight independent chains in one loop, and adds the
+// leaf weights to the rows' accumulators, k apart. A child's index is
+// greater than its parent's and a leaf steps to itself, so the lanes'
+// indices sum to what they did a step ago exactly when every lane sits
+// on a leaf (64-bit lanes: eight 32-bit indices cannot wrap the sum).
+func walk(nodes []node, weight []float64, kg []int32, root uint32, acc []float64, k int) {
+	r := uint64(root)
+	i0, i1, i2, i3, i4, i5, i6, i7 := r, r, r, r, r, r, r, r
+	for sum := uint64(0); ; {
+		n := &nodes[i0]
+		i0 = uint64(n.left) + b2i(kg[n.off] > n.tkey)
+		n = &nodes[i1]
+		i1 = uint64(n.left) + b2i(kg[n.off+1] > n.tkey)
+		n = &nodes[i2]
+		i2 = uint64(n.left) + b2i(kg[n.off+2] > n.tkey)
+		n = &nodes[i3]
+		i3 = uint64(n.left) + b2i(kg[n.off+3] > n.tkey)
+		n = &nodes[i4]
+		i4 = uint64(n.left) + b2i(kg[n.off+4] > n.tkey)
+		n = &nodes[i5]
+		i5 = uint64(n.left) + b2i(kg[n.off+5] > n.tkey)
+		n = &nodes[i6]
+		i6 = uint64(n.left) + b2i(kg[n.off+6] > n.tkey)
+		n = &nodes[i7]
+		i7 = uint64(n.left) + b2i(kg[n.off+7] > n.tkey)
+		at := i0 + i1 + i2 + i3 + i4 + i5 + i6 + i7
+		if at == sum {
+			break
 		}
-		s.margins[f.treeClass[t]] += f.weight[i]
+		sum = at
 	}
-}
-
-// marginsBinned is the binned walk over the same node arrays: the row
-// must have been quantized with binRow first. It is the semantic
-// reference the training representation defines — the equivalence test
-// pins marginsInto against it bitwise — and the faster choice only when
-// the ensemble is deep enough to amortize the binning pass.
-func (f *Flat) marginsBinned(s *Scratch) {
-	copy(s.margins, f.baseScores)
-	bins := s.bins
-	for t := 0; t < len(f.treeStart); t++ {
-		i := f.treeStart[t]
-		for f.left[i] >= 0 {
-			b := bins[f.feat[i]]
-			l := f.left[i]
-			switch {
-			case b == missingBin:
-				if !f.defLeft[i] {
-					l++
-				}
-			case b <= uint16(f.bin[i]):
-			default:
-				l++
-			}
-			i = l
-		}
-		s.margins[f.treeClass[t]] += f.weight[i]
-	}
+	acc = acc[:7*k+1]
+	acc[0] += weight[i0]
+	acc[k] += weight[i1]
+	acc[2*k] += weight[i2]
+	acc[3*k] += weight[i3]
+	acc[4*k] += weight[i4]
+	acc[5*k] += weight[i5]
+	acc[6*k] += weight[i6]
+	acc[7*k] += weight[i7]
 }
 
 // PredictRow returns the transformed single-class prediction for one
@@ -358,48 +312,59 @@ func (f *Flat) PredictRow(row []float32, s *Scratch) float64 {
 	if f.numClass != 1 {
 		panic("serve: PredictRow on a multiclass model")
 	}
-	f.marginsInto(row, s)
-	if f.obj == nil {
-		return s.margins[0]
-	}
-	return f.obj.Transform(s.margins[0])
+	var out [1]float64
+	f.PredictProbaRow(row, s, out[:])
+	return out[0]
 }
 
 // PredictProbaRow writes the softmax class probabilities for one raw
 // row into out (length NumClass) — bit-identical to
-// MulticlassModel.PredictProba.
+// MulticlassModel.PredictProba. It is a one-row block through the batch
+// kernel.
 func (f *Flat) PredictProbaRow(row []float32, s *Scratch, out []float64) {
-	f.marginsInto(row, s)
-	if f.numClass == 1 {
-		if f.obj == nil {
-			out[0] = s.margins[0]
-		} else {
-			out[0] = f.obj.Transform(s.margins[0])
-		}
-		return
-	}
-	boost.Softmax(out, s.margins)
+	f.PredictRangeInto(&dataset.Dense{N: 1, M: len(row), Values: row}, 0, 1, out, s)
 }
 
 // PredictRangeInto predicts rows [lo, hi) of the matrix into out, which
 // holds NumClass values per row indexed by absolute row
-// (out[i*NumClass+c]). This is the zero-allocation serving kernel: with
-// a preallocated Scratch and output it allocates nothing per batch (the
-// equivalence tests pin AllocsPerRun == 0).
+// (out[i*NumClass+c]). This is the one scoring kernel, block-wise like
+// the training tasks: a block of rows is keyed once into s, then every
+// tree in turn — small enough to sit in L1 while the block passes
+// through it — advances the block's rows eight at a time. Per row the
+// float64 additions are the base score, then the trees in training
+// order, exactly the pointer walk's. With a preallocated Scratch and
+// output it allocates nothing (the tests pin AllocsPerRun == 0).
 func (f *Flat) PredictRangeInto(d *dataset.Dense, lo, hi int, out []float64, s *Scratch) {
-	k := f.numClass
-	for i := lo; i < hi; i++ {
-		row := d.Values[i*d.M : (i+1)*d.M]
-		if k == 1 {
-			f.marginsInto(row, s)
-			if f.obj == nil {
-				out[i] = s.margins[0]
-			} else {
-				out[i] = f.obj.Transform(s.margins[0])
-			}
-			continue
+	m, k, cols := f.numFeatures, f.numClass, f.cols
+	if d.M < m { // CheckDense is the error path; never key the next row's cells
+		panic(fmt.Sprintf("serve: model expects %d features, matrix has %d", m, d.M))
+	}
+	nodes, weight, keys, margins := f.nodes, f.weight, s.keys, s.margins
+	for ; lo < hi; lo += f.blockRows {
+		nb := min(f.blockRows, hi-lo)
+		for r := 0; r < nb; r++ {
+			keyRow(d.Values[(lo+r)*d.M:][:m], keys[r/lanes*cols*lanes+r%lanes:])
+			copy(margins[r*k:(r+1)*k], f.baseScores)
 		}
-		f.PredictProbaRow(row, s, out[i*k:(i+1)*k:(i+1)*k])
+		// The lanes past nb in the last group walk whatever keys the
+		// scratch holds — any key leads to a leaf — and their sums land
+		// in accumulators nobody reads.
+		for t, root := range f.treeStart {
+			c := int(f.treeClass[t])
+			for g := 0; g < nb; g += lanes {
+				walk(nodes, weight, keys[g*cols:(g+lanes)*cols], root, margins[g*k+c:], k)
+			}
+		}
+		for r := 0; r < nb; r++ {
+			switch {
+			case k > 1:
+				boost.Softmax(out[(lo+r)*k:(lo+r+1)*k], margins[r*k:(r+1)*k])
+			case f.obj != nil:
+				out[lo+r] = f.obj.Transform(margins[r])
+			default:
+				out[lo+r] = margins[r]
+			}
+		}
 	}
 }
 
@@ -411,10 +376,9 @@ func (f *Flat) CheckDense(d *dataset.Dense) error {
 	return nil
 }
 
-// Bytes reports the compiled model's memory footprint (the SoA arrays
-// plus the threshold table), for capacity planning and the /progress
-// snapshot.
+// Bytes reports the compiled model's memory footprint (12-byte node
+// records plus the leaf-weight array), for capacity planning and the
+// /progress snapshot.
 func (f *Flat) Bytes() int {
-	n := len(f.left)
-	return n*(4+4+1+4+1+8) + len(f.treeStart)*8 + len(f.cutVals)*4 + len(f.cutPtr)*4 + len(f.baseScores)*8
+	return len(f.nodes)*(12+8) + len(f.treeStart)*8 + len(f.baseScores)*8
 }

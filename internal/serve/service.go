@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -35,6 +36,15 @@ const (
 	metricQueueDepth    = "serve_queue_depth"
 	metricInflight      = "serve_inflight_batches"
 	metricCompiledBytes = "serve_compiled_bytes"
+)
+
+// A /predict body may not exceed what MaxBatchRows rows of the model's
+// width take at bodyBytesPerCell — a float64 printed in full with its
+// separator and brackets is under 32 bytes — plus bodyEnvelopeBytes;
+// beyond that the handler answers 413 without decoding.
+const (
+	bodyBytesPerCell  = 32
+	bodyEnvelopeBytes = 1 << 10
 )
 
 // traceCat is the span/flow category of every serving trace event
@@ -110,11 +120,12 @@ type lane struct {
 // telemetry surface (latency histograms, serving trace lane, access
 // logs, live gauges). Mount it on the obs server under /predict.
 type Service struct {
-	flat  *Flat
-	cfg   Config
-	runID string
-	log   *obs.Logger
-	epoch time.Time
+	flat    *Flat
+	cfg     Config
+	maxBody int64 // bytes of one /predict body
+	runID   string
+	log     *obs.Logger
+	epoch   time.Time
 
 	queue  chan *request
 	stop   chan struct{}
@@ -147,12 +158,13 @@ func NewService(flat *Flat, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	s := &Service{
-		flat:  flat,
-		cfg:   cfg,
-		runID: obs.NewRunID(),
-		epoch: time.Now(),
-		queue: make(chan *request, cfg.QueueDepth),
-		stop:  make(chan struct{}),
+		flat:    flat,
+		cfg:     cfg,
+		maxBody: bodyEnvelopeBytes + int64(cfg.MaxBatchRows)*int64(max(flat.NumFeatures(), 1))*bodyBytesPerCell,
+		runID:   obs.NewRunID(),
+		epoch:   time.Now(),
+		queue:   make(chan *request, cfg.QueueDepth),
+		stop:    make(chan struct{}),
 
 		reqLatency:    reg.Histogram(metricRequestSec, "end-to-end /predict latency (admission to response)", LatencyBuckets),
 		queueLatency:  reg.Histogram(metricQueueSec, "time from admission to batch pickup", LatencyBuckets),
@@ -324,7 +336,8 @@ type predictResponse struct {
 }
 
 // ServeHTTP implements POST /predict: JSON rows in, predictions out,
-// 429 when the admission queue is full, 503 when shutting down.
+// 413 for a body over the size limit, 429 when the admission queue is
+// full, 503 when shutting down.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -335,7 +348,12 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p predictPayload
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&p); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

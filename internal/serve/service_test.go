@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"harpgbdt/internal/boost"
-	"harpgbdt/internal/core"
-	"harpgbdt/internal/grow"
 	"harpgbdt/internal/obs"
 )
 
@@ -256,23 +255,54 @@ func TestServiceAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServiceBodyLimit pins the request size limit: a body of exactly
+// maxBody bytes is served, one byte more is answered 413 before
+// admission (no counter moves), and the largest request the limit is
+// derived from — MaxBatchRows rows of full-precision values — fits.
+func TestServiceBodyLimit(t *testing.T) {
+	flat := trainFlat(t)
+	svc, err := NewService(flat, Config{Registry: obs.NewRegistry(), Workers: 1, MaxBatchRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	post := func(body []byte) int {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		return rec.Code
+	}
+	rows := make([][]float32, 8)
+	for i := range rows {
+		rows[i] = make([]float32, flat.NumFeatures())
+		for j := range rows[i] {
+			rows[i][j] = -1.17549435e-38
+		}
+	}
+	full, _ := json.Marshal(predictPayload{Rows: rows})
+	if int64(len(full)) > svc.maxBody {
+		t.Fatalf("a MaxBatchRows request takes %d bytes, limit %d", len(full), svc.maxBody)
+	}
+	// Pad inside the object, so the decoder must read every byte.
+	padded := func(n int64) []byte {
+		pad := bytes.Repeat([]byte{' '}, int(n)-len(full))
+		return append(append(append([]byte(nil), full[:len(full)-1]...), pad...), '}')
+	}
+	if code := post(padded(svc.maxBody)); code != http.StatusOK {
+		t.Fatalf("body of exactly the limit: %d, want 200", code)
+	}
+	if code := post(padded(svc.maxBody + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the limit: %d, want 413", code)
+	}
+	if svc.requests.Value() != 1 || svc.rejected.Value() != 0 || svc.errCount.Value() != 0 {
+		t.Fatalf("ledger after one served and one oversized request: requests %d rejected %d errors %d",
+			svc.requests.Value(), svc.rejected.Value(), svc.errCount.Value())
+	}
+}
+
 // TestServiceMulticlassResponse checks the probability response shape
 // against the compiled model.
 func TestServiceMulticlassResponse(t *testing.T) {
-	ds, _ := blobs3(t, 600)
-	b, err := core.NewBuilder(core.Config{Mode: core.Sync, K: 8, Growth: grow.Leafwise,
-		TreeSize: 4, UseMemBuf: true, Params: splitParams()}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := boost.TrainMulticlass(b, ds, boost.MulticlassConfig{NumClass: 3, Rounds: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := CompileMulticlass(res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, flat, _ := trainBlobs(t, 600, 4, 4)
 	svc, err := NewService(flat, Config{Registry: obs.NewRegistry(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
