@@ -1,12 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test lint gates bce bce-baseline escape escape-baseline inline inline-baseline sarif sanitize race-sanitize fuzz race fault chaos bench benchdiff efficiency comms baseline trace clean
+.PHONY: check vet build test lint gates sarif race-sanitize fuzz race-full fault chaos bench benchdiff efficiency comms baseline trace clean
 
-## check: the full verification gate (vet + build + harplint + the three
-## compiler-contract gates + the test suite under race detector *and*
+## check: the full verification gate (vet + build + harplint + the
+## compiler-contract gate + the test suite under race detector *and*
 ## harpdebug invariants + fault suite + the structural benchdiff gate).
-## race-sanitize subsumes a plain `make race`: same tests, same -race,
-## plus the runtime invariant layer compiled in. Nothing here compares a
+## Nothing here compares a
 ## clock: a timing change is judged by the repo benchmark — `make bench`
 ## on the parent and on the change, then `go run ./benchmark compare
 ## parent.json change.json` (see benchmark/README.md).
@@ -31,47 +30,13 @@ lint:
 	$(GO) run ./cmd/harplint ./...
 	$(GO) run ./cmd/harplint -tags harpdebug ./...
 
-## gates: all three compiler-contract gates — bounds checks, heap
-## escapes, and inliner verdicts across the hot-kernel reach set, each
-## pinned to its committed baseline
-gates: bce escape inline
-
-## bce: the compiler-verified bounds-check-elimination gate — build with
-## -gcflags=-d=ssa/check_bce, map the residual IsInBounds/IsSliceInBounds
-## diagnostics into the hot-kernel reach set, and fail on any drift (up
-## or down) against the committed BCE_baseline.txt
-bce:
-	$(GO) run ./cmd/harplint -bce
-
-## bce-baseline: deliberately regenerate BCE_baseline.txt after a kernel
-## change (commit the result; `make bce` pins it)
-bce-baseline:
-	$(GO) run ./cmd/harplint -bce -update
-
-## escape: the escape-analysis gate — build with -gcflags=-m=1, keep the
-## "escapes to heap" / "moved to heap" diagnostics inside the hot-kernel
-## reach set, and fail on any drift against the committed
-## ESCAPE_baseline.txt (every reach-set function is listed, so the reach
-## set itself is pinned too — all zeros today)
-escape:
-	$(GO) run ./cmd/harplint -escape
-
-## escape-baseline: deliberately regenerate ESCAPE_baseline.txt after a
-## kernel change (commit the result; `make escape` pins it)
-escape-baseline:
-	$(GO) run ./cmd/harplint -escape -update
-
-## inline: the inlining gate — build with -gcflags=-m=1 and pin, per
-## hot-kernel-reach-set function, whether the inliner accepts it and how
-## many of its call sites collapse, against the committed
-## INLINE_baseline.txt
-inline:
-	$(GO) run ./cmd/harplint -inline
-
-## inline-baseline: deliberately regenerate INLINE_baseline.txt after a
-## kernel change (commit the result; `make inline` pins it)
-inline-baseline:
-	$(GO) run ./cmd/harplint -inline -update
+## gates: the compiler-contract gate — one build with
+## -gcflags='-m=1 -d=ssa/check_bce'; residual bounds checks, heap escapes
+## and inliner verdicts across the hot-kernel reach set must match the
+## committed COMPILER_baseline.txt. After a deliberate kernel change,
+## regenerate with `go run ./cmd/harplint -gates -update` and commit it.
+gates:
+	$(GO) run ./cmd/harplint -gates
 
 ## sarif: write the harplint findings (both build configurations merged
 ## by the consumer; this emits the default configuration) as a SARIF
@@ -79,14 +44,9 @@ inline-baseline:
 sarif:
 	$(GO) run ./cmd/harplint -sarif harplint.sarif ./...
 
-## sanitize: the test suite with the harpdebug runtime invariant layer
-## compiled in (GHSum conservation, partition permutation, bin bounds,
-## TopK gain monotonicity)
-sanitize:
-	$(GO) test -short -tags harpdebug ./...
-
 ## race-sanitize: invariants and the race detector together — the
-## strictest fast gate. The three concurrency-heavy packages (the
+## strictest fast gate (it subsumes plain -race and plain -tags harpdebug
+## runs: same tests, both layers on). The three concurrency-heavy packages (the
 ## simulated cluster, the fault-injection registry, and the wait-state
 ## accounting) additionally run their full suites under -race, not just
 ## the -short subset.
@@ -99,11 +59,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=5s ./internal/dataset/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=5s ./internal/dataset/
 
-# -short skips the full-experiment sweeps, which take >10 min under the
-# race detector on small machines; `make race-full` runs everything.
-race:
-	$(GO) test -race -short ./...
-
+## race-full: the whole suite under -race, the full-experiment sweeps
+## included (race-sanitize runs -short: those sweeps take >10 min under
+## the race detector on small machines)
 race-full:
 	$(GO) test -race -timeout 45m ./...
 

@@ -23,19 +23,12 @@
 // type-check errors — a module that does not type-check cannot be
 // analyzed reliably, so type errors are fatal, not warnings.
 //
-// -bce runs the bounds-check-elimination gate instead of the AST rules:
-// it compiles the module with -gcflags=-d=ssa/check_bce, maps the
-// compiler's residual IsInBounds/IsSliceInBounds diagnostics into the
-// hot-kernel reach set, and compares the per-function counts against the
-// committed BCE_baseline.txt (regenerate deliberately with -bce -update).
-//
-// -escape and -inline run the other two compiler-contract gates: both
-// compile with -gcflags=-m=1 and diff the optimizer's diagnostics across
-// the kernel reach set against ESCAPE_baseline.txt (heap escapes and
-// moved-to-heap variables — all zero today) and INLINE_baseline.txt
-// (which functions the inliner accepts and how many call sites it
-// inlined). Regenerate deliberately with -escape -update / -inline
-// -update.
+// -gates runs the compiler-contract gate instead of the AST rules: one
+// `go build -gcflags='-m=1 -d=ssa/check_bce'` whose residual bounds
+// checks, heap escapes, moved-to-heap variables and inliner verdicts are
+// mapped onto the hot-kernel reach set and diffed, one record per
+// function, against the committed COMPILER_baseline.txt (regenerate
+// deliberately with -gates -update).
 //
 // -stats appends a per-rule finding table and per-analysis wall-time
 // breakdown after a normal run, so lint cost stays visible as rules grow.
@@ -59,10 +52,8 @@ func main() {
 		listRules   = flag.Bool("rules", false, "list rule names and exit")
 		tags        = flag.String("tags", "", "comma-separated build tags of the analyzed configuration")
 		sarifOut    = flag.String("sarif", "", `write findings as SARIF 2.1.0 to this file ("-" for stdout)`)
-		bce         = flag.Bool("bce", false, "run the bounds-check-elimination gate against BCE_baseline.txt and exit")
-		escape      = flag.Bool("escape", false, "run the escape-analysis gate against ESCAPE_baseline.txt and exit")
-		inline      = flag.Bool("inline", false, "run the inlining gate against INLINE_baseline.txt and exit")
-		update      = flag.Bool("update", false, "with -bce/-escape/-inline: regenerate the gate's baseline from the current build")
+		gates       = flag.Bool("gates", false, "run the compiler-contract gate against COMPILER_baseline.txt and exit")
+		update      = flag.Bool("update", false, "with -gates: regenerate COMPILER_baseline.txt from the current build")
 		stats       = flag.Bool("stats", false, "print per-rule finding counts and per-analysis wall time")
 	)
 	flag.Parse()
@@ -74,16 +65,8 @@ func main() {
 		}
 		*root = r
 	}
-	if *bce {
-		runBCEGate(*root, *update)
-		return
-	}
-	if *escape {
-		runEscapeGate(*root, *update)
-		return
-	}
-	if *inline {
-		runInlineGate(*root, *update)
+	if *gates {
+		runGates(*root, *update)
 		return
 	}
 	loader, err := lint.NewLoaderTags(*root, splitTags(*tags)...)
@@ -168,126 +151,49 @@ func writeSARIF(path string, findings []lint.Finding, rules []string, root strin
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runBCEGate runs the compiler-verified bounds-check gate: measure
-// residual checks in the hot-kernel reach set, then compare against (or
-// with update=true, rewrite) the committed baseline. Exits 1 on drift,
-// 2 on build/parse errors.
-func runBCEGate(root string, update bool) {
-	counts, err := lint.RunBCE(lint.BCEOptions{Root: root})
+// runGates runs the compiler-contract gate: measure the reach set's
+// contracts, then compare against (or with update=true, rewrite) the
+// committed baseline. Exits 1 on drift, 2 on build/parse errors.
+func runGates(root string, update bool) {
+	got, err := lint.RunGates(lint.GateOptions{Root: root})
 	if err != nil {
 		fatal(err)
 	}
-	basePath := filepath.Join(root, "BCE_baseline.txt")
+	basePath := filepath.Join(root, "COMPILER_baseline.txt")
 	if update {
-		if err := os.WriteFile(basePath, lint.FormatBCEBaseline(counts), 0o644); err != nil {
+		if err := os.WriteFile(basePath, lint.FormatContracts(got), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("harplint: wrote %s (%d entries)\n", relativize(basePath), len(counts))
+		fmt.Printf("harplint: wrote %s (%d functions)\n", relativize(basePath), len(got))
 		return
 	}
 	data, err := os.ReadFile(basePath)
 	if err != nil {
-		fatal(fmt.Errorf("%v (generate it with `harplint -bce -update`)", err))
+		fatal(fmt.Errorf("%v (generate it with `harplint -gates -update`)", err))
 	}
-	base, err := lint.ParseBCEBaseline(data)
+	base, err := lint.ParseContracts(data)
 	if err != nil {
 		fatal(err)
 	}
-	diffs := lint.DiffBCE(counts, base)
+	diffs := lint.DiffContracts(got, base)
 	for _, d := range diffs {
-		fmt.Println("bce:", d)
+		fmt.Println("gates:", d)
 	}
 	if len(diffs) > 0 {
-		fmt.Fprintf(os.Stderr, "harplint: bce gate failed: %d discrepancy(ies) vs %s\n", len(diffs), relativize(basePath))
+		fmt.Fprintf(os.Stderr, "harplint: compiler-contract gate failed: %d discrepancy(ies) vs %s\n", len(diffs), relativize(basePath))
 		os.Exit(1)
 	}
-	total := 0
-	for _, c := range counts {
-		total += c.N
-	}
-	fmt.Printf("harplint: bce gate ok (%d residual checks across %d function/kind entries match baseline)\n", total, len(counts))
-}
-
-// runEscapeGate runs the compiler-verified escape gate: measure heap
-// diagnostics in the hot-kernel reach set, then compare against (or with
-// update=true, rewrite) the committed baseline. Exits 1 on drift, 2 on
-// build/parse errors.
-func runEscapeGate(root string, update bool) {
-	counts, err := lint.RunEscape(lint.GateOptions{Root: root})
-	if err != nil {
-		fatal(err)
-	}
-	basePath := filepath.Join(root, "ESCAPE_baseline.txt")
-	if update {
-		if err := os.WriteFile(basePath, lint.FormatEscapeBaseline(counts), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("harplint: wrote %s (%d entries)\n", relativize(basePath), len(counts))
-		return
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		fatal(fmt.Errorf("%v (generate it with `harplint -escape -update`)", err))
-	}
-	base, err := lint.ParseEscapeBaseline(data)
-	if err != nil {
-		fatal(err)
-	}
-	diffs := lint.DiffEscape(counts, base)
-	for _, d := range diffs {
-		fmt.Println("escape:", d)
-	}
-	if len(diffs) > 0 {
-		fmt.Fprintf(os.Stderr, "harplint: escape gate failed: %d discrepancy(ies) vs %s\n", len(diffs), relativize(basePath))
-		os.Exit(1)
-	}
-	escapes, moved := 0, 0
-	for _, c := range counts {
-		escapes += c.Escapes
-		moved += c.Moved
-	}
-	fmt.Printf("harplint: escape gate ok (%d escapes, %d moved-to-heap across %d hot functions match baseline)\n", escapes, moved, len(counts))
-}
-
-// runInlineGate runs the compiler-verified inlining gate, mirroring the
-// bce and escape gates against INLINE_baseline.txt.
-func runInlineGate(root string, update bool) {
-	counts, err := lint.RunInline(lint.GateOptions{Root: root})
-	if err != nil {
-		fatal(err)
-	}
-	basePath := filepath.Join(root, "INLINE_baseline.txt")
-	if update {
-		if err := os.WriteFile(basePath, lint.FormatInlineBaseline(counts), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("harplint: wrote %s (%d entries)\n", relativize(basePath), len(counts))
-		return
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		fatal(fmt.Errorf("%v (generate it with `harplint -inline -update`)", err))
-	}
-	base, err := lint.ParseInlineBaseline(data)
-	if err != nil {
-		fatal(err)
-	}
-	diffs := lint.DiffInline(counts, base)
-	for _, d := range diffs {
-		fmt.Println("inline:", d)
-	}
-	if len(diffs) > 0 {
-		fmt.Fprintf(os.Stderr, "harplint: inline gate failed: %d discrepancy(ies) vs %s\n", len(diffs), relativize(basePath))
-		os.Exit(1)
-	}
-	inlinable, calls := 0, 0
-	for _, c := range counts {
+	var checks, heap, inlinable, calls int
+	for _, c := range got {
+		checks += c.BCEIndex + c.BCESlice
+		heap += c.Escapes + c.Moved
 		if c.CanInline {
 			inlinable++
 		}
 		calls += c.InlinedCalls
 	}
-	fmt.Printf("harplint: inline gate ok (%d/%d hot functions inlinable, %d inlined call sites match baseline)\n", inlinable, len(counts), calls)
+	fmt.Printf("harplint: compiler-contract gate ok (%d functions: %d residual bounds checks, %d heap diagnostics, %d/%d inlinable, %d inlined call sites match baseline)\n",
+		len(got), checks, heap, inlinable, len(got), calls)
 }
 
 // printStats renders the -stats table: per-rule finding counts

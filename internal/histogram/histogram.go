@@ -124,7 +124,7 @@ func (h *Hist) FeatureSum(f int) gh.Pair {
 func (h *Hist) AddHist(o *Hist) {
 	// Hoist both slice headers and tie od's length to hd's so the
 	// compiler proves hd[i] and od[i] in bounds (one hoisted slice check
-	// instead of two per cell; see BCE_baseline.txt).
+	// instead of two per cell; see COMPILER_baseline.txt).
 	hd := h.Data
 	od := o.Data[:len(hd)]
 	for i := range hd {

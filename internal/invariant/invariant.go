@@ -7,7 +7,7 @@
 // queue gain monotonicity.
 //
 // The checks are gated behind the `harpdebug` build tag (`go test -tags
-// harpdebug ./...`, `make sanitize`). In release builds Enabled is the
+// harpdebug ./...`, `make race-sanitize`). In release builds Enabled is the
 // constant false: every check body is dead code and call sites guarded by
 // `if invariant.Enabled` vanish, so the hot path pays nothing. A violation
 // calls the fail handler, which panics by default; tests may install their

@@ -52,17 +52,13 @@
 //     disciplines must not mix on one field, and lock acquisition order
 //     must be cycle-free across the interprocedural call graph.
 //
-// Three compiler-contract gates diff real compiler diagnostics against
-// committed baselines; they are build-level passes driven by cmd/harplint
-// flags and make targets rather than Analyses:
-//
-//   - bce (bce.go, -gcflags=-d=ssa/check_bce): residual bounds checks
-//     inside the hot kernels vs BCE_baseline.txt.
-//   - escape (escape.go, -gcflags=-m=1): heap escapes and moved-to-heap
-//     variables across the kernel reach set vs ESCAPE_baseline.txt.
-//   - inline (inline.go, -gcflags=-m=1): which kernel-reach-set functions
-//     the inliner accepts, and how many calls are inlined, vs
-//     INLINE_baseline.txt.
+// One compiler-contract gate (compiler.go) diffs real compiler
+// diagnostics against a committed baseline; it is a build-level pass
+// driven by `harplint -gates` and `make gates` rather than an Analysis.
+// One `go build -gcflags='-m=1 -d=ssa/check_bce'` yields, per function in
+// the hot-kernel reach set, the residual bounds checks, heap escapes and
+// moved-to-heap variables, and the inliner's verdict, pinned in
+// COMPILER_baseline.txt.
 //
 // Findings can be suppressed with an inline directive on the offending
 // line or the line above:

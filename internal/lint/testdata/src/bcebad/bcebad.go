@@ -1,8 +1,8 @@
-// Package bcebad is the bce gate fixture: kernels with known residual
-// bounds checks. Unlike the AST-rule fixtures there are no want markers —
-// the compiler itself is the oracle. The test compiles this package with
-// -d=ssa/check_bce, maps the diagnostics through the hot reach set rooted
-// at kernel*, and pins the exact residual counts:
+// Package bcebad is the compiler-contract gate's bounds-check fixture:
+// kernels with known residual bounds checks. Unlike the AST-rule fixtures
+// there are no want markers — the compiler itself is the oracle. The test
+// compiles this package with -d=ssa/check_bce, maps the diagnostics
+// through the hot reach set rooted at kernel*, and checks:
 //
 //   - kernelScatter keeps one IsInBounds per data-dependent index (the
 //     gather and the scatter) — the irreducible shape;

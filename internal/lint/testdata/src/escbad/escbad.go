@@ -1,7 +1,7 @@
-// Package escbad is a harplint test fixture for the escape gate: the
-// kernel* functions form the fixture's reach set, and the real compiler
-// is the oracle for which of them allocate. It is never imported by
-// production code.
+// Package escbad is a harplint test fixture for the compiler-contract
+// gate's escape columns: the kernel* functions form the fixture's reach
+// set, and the real compiler is the oracle for which of them allocate. It
+// is never imported by production code.
 package escbad
 
 // kernelMoved forces a local off the stack: its address outlives the

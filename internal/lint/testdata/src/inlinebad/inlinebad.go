@@ -1,7 +1,7 @@
-// Package inlinebad is a harplint test fixture for the inline gate: the
-// kernel* functions form the fixture's reach set, and the real compiler
-// is the oracle for which of them the inliner accepts. It is never
-// imported by production code.
+// Package inlinebad is a harplint test fixture for the compiler-contract
+// gate's inliner columns: the kernel* functions form the fixture's reach
+// set, and the real compiler is the oracle for which of them the inliner
+// accepts. It is never imported by production code.
 package inlinebad
 
 // kernelTiny is far under the inlining budget: can-inline yes.
