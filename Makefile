@@ -46,13 +46,13 @@ sarif:
 
 ## race-sanitize: invariants and the race detector together — the
 ## strictest fast gate (it subsumes plain -race and plain -tags harpdebug
-## runs: same tests, both layers on). The three concurrency-heavy packages (the
-## simulated cluster, the fault-injection registry, and the wait-state
-## accounting) additionally run their full suites under -race, not just
-## the -short subset.
+## runs: same tests, both layers on). The four concurrency-heavy packages (the
+## simulated cluster, the fault-injection registry, the wait-state
+## accounting, and the parallel cut builder and binner) additionally run
+## their full suites under -race, not just the -short subset.
 race-sanitize:
 	$(GO) test -race -short -tags harpdebug ./...
-	$(GO) test -race ./internal/dist/ ./internal/fault/ ./internal/perf/
+	$(GO) test -race ./internal/dist/ ./internal/fault/ ./internal/perf/ ./internal/dataset/
 
 ## fuzz: short fuzz sessions over the dataset loaders
 fuzz:

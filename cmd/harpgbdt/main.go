@@ -176,15 +176,17 @@ func cmdTrain(args []string) error {
 		harpgbdt.SetDefaultLogger(lg)
 		defer harpgbdt.SetDefaultLogger(nil)
 	}
+	ds, err := df.load()
+	if err != nil {
+		return err
+	}
+	// Armed after loading: binning runs on sched workers too, and an
+	// injected sched.worker fault targets training.
 	if *inject != "" {
 		if err := harpgbdt.EnableFaults(*inject); err != nil {
 			return err
 		}
 		defer harpgbdt.ResetFaults()
-	}
-	ds, err := df.load()
-	if err != nil {
-		return err
 	}
 	fmt.Printf("dataset: %s\n", harpgbdt.Stats(ds))
 	obsv := harpgbdt.NewObserver()

@@ -1,6 +1,10 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+
+	"harpgbdt/internal/sched"
+)
 
 // BinnedMatrix stores the input after histogram initialization: a row-major
 // N x M matrix of 1-byte bin ids (MissingBin for missing values). This is
@@ -39,33 +43,38 @@ func (b *BinnedMatrix) Validate(c *Cuts) error {
 	return nil
 }
 
-// BinDense quantizes a dense matrix with the given cuts.
+// BinDense quantizes a dense matrix with the given cuts. Row chunks run in
+// parallel over GOMAXPROCS workers; every cell is binned independently.
 func BinDense(d *Dense, c *Cuts) *BinnedMatrix {
 	b := &BinnedMatrix{N: d.N, M: d.M, Bins: make([]uint8, d.N*d.M)}
-	for i := 0; i < d.N; i++ {
-		row := d.Row(i)
-		out := b.Row(i)
-		for f, v := range row {
-			out[f] = c.BinValue(f, v)
+	sched.NewPool(0).ParallelFor(d.N, 0, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			out := b.Row(i)
+			for f, v := range d.Row(i) {
+				out[f] = c.BinValue(f, v)
+			}
 		}
-	}
+	})
 	return b
 }
 
 // BinCSR quantizes a CSR matrix with the given cuts; absent entries become
-// MissingBin.
+// MissingBin. Row chunks run in parallel like BinDense.
 func BinCSR(s *CSR, c *Cuts) *BinnedMatrix {
 	b := &BinnedMatrix{N: s.N, M: s.M, Bins: make([]uint8, s.N*s.M)}
-	for i := range b.Bins {
-		b.Bins[i] = MissingBin
-	}
-	for i := 0; i < s.N; i++ {
-		cols, vals := s.Row(i)
-		out := b.Row(i)
-		for k, col := range cols {
-			out[col] = c.BinValue(int(col), vals[k])
+	sched.NewPool(0).ParallelFor(s.N, 0, func(lo, hi, _ int) {
+		chunk := b.Bins[lo*s.M : hi*s.M]
+		for i := range chunk {
+			chunk[i] = MissingBin
 		}
-	}
+		for i := lo; i < hi; i++ {
+			cols, vals := s.Row(i)
+			out := b.Row(i)
+			for k, col := range cols {
+				out[col] = c.BinValue(int(col), vals[k])
+			}
+		}
+	})
 	return b
 }
 

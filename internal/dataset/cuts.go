@@ -3,7 +3,9 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+
+	"harpgbdt/internal/sched"
 )
 
 // MissingBin is the reserved bin id for missing values. Real bins occupy
@@ -15,8 +17,8 @@ const MissingBin = uint8(255)
 // plus the missing sentinel fills the byte).
 const MaxAllowedBins = 255
 
-// Cuts holds per-feature ascending cut points produced by quantile
-// sketching. Bin k of feature f covers values v with
+// Cuts holds per-feature ascending cut points: exact quantiles of each
+// feature's sorted distinct values. Bin k of feature f covers values v with
 // cuts[k-1] < v <= cuts[k] (bin 0 covers v <= cuts[0]); values above the
 // last cut clamp into the last bin.
 type Cuts struct {
@@ -89,19 +91,26 @@ func (c *Cuts) UpperBound(f int, b uint8) float32 {
 	return cuts[b]
 }
 
-// Validate checks structural consistency: monotone pointers and strictly
-// increasing cut values per feature.
+// Validate checks structural consistency: monotone pointers spanning Vals,
+// no NaN cut, and strictly increasing cut values per feature. ±Inf cuts
+// are legal (dense input may hold them).
 func (c *Cuts) Validate() error {
 	if len(c.Ptr) != c.M+1 {
 		return fmt.Errorf("dataset: cuts ptr length %d != M+1=%d", len(c.Ptr), c.M+1)
+	}
+	if c.Ptr[0] != 0 || int(c.Ptr[c.M]) != len(c.Vals) {
+		return fmt.Errorf("dataset: cuts ptr spans [%d, %d), want [0, %d)", c.Ptr[0], c.Ptr[c.M], len(c.Vals))
 	}
 	for f := 0; f < c.M; f++ {
 		if c.Ptr[f] > c.Ptr[f+1] {
 			return fmt.Errorf("dataset: cuts ptr not monotone at feature %d", f)
 		}
 		cuts := c.FeatureCuts(f)
-		for k := 1; k < len(cuts); k++ {
-			if !(cuts[k-1] < cuts[k]) {
+		for k, v := range cuts {
+			if v != v {
+				return fmt.Errorf("dataset: NaN cut at feature %d index %d", f, k)
+			}
+			if k > 0 && !(cuts[k-1] < v) {
 				return fmt.Errorf("dataset: cuts not strictly increasing at feature %d index %d", f, k)
 			}
 		}
@@ -120,33 +129,20 @@ func (c *Cuts) Validate() error {
 // XGBoost code base: an exact quantile computation over the (possibly
 // deduplicated) sorted values of each feature.
 func BuildCuts(d *Dense, maxBins int) *Cuts {
-	if maxBins <= 1 || maxBins > MaxAllowedBins {
-		maxBins = MaxAllowedBins
-	}
-	c := &Cuts{M: d.M, Ptr: make([]int32, d.M+1), MaxBins: maxBins}
-	col := make([]float32, 0, d.N)
-	for f := 0; f < d.M; f++ {
-		col = col[:0]
-		for i := 0; i < d.N; i++ {
-			v := d.Values[i*d.M+f]
-			if v == v { // skip NaN
+	return buildCuts(d.M, maxBins, func(f int, col []float32) []float32 {
+		for i := f; i < len(d.Values); i += d.M {
+			if v := d.Values[i]; v == v {
 				col = append(col, v)
 			}
 		}
-		cuts := quantileCuts(col, maxBins)
-		c.Vals = append(c.Vals, cuts...)
-		c.Ptr[f+1] = int32(len(c.Vals))
-	}
-	return c
+		return col
+	})
 }
 
-// BuildCutsCSR computes cut points from a CSR matrix. Absent entries are
-// treated as missing, matching the engines' default-direction handling.
+// BuildCutsCSR computes cut points from a CSR matrix. Absent entries and
+// explicit NaNs are treated as missing, matching the engines'
+// default-direction handling: the cuts equal those of s.ToDense().
 func BuildCutsCSR(s *CSR, maxBins int) *Cuts {
-	if maxBins <= 1 || maxBins > MaxAllowedBins {
-		maxBins = MaxAllowedBins
-	}
-	c := &Cuts{M: s.M, Ptr: make([]int32, s.M+1), MaxBins: maxBins}
 	// Bucket values per feature.
 	counts := make([]int, s.M)
 	for _, col := range s.Cols {
@@ -163,8 +159,36 @@ func BuildCutsCSR(s *CSR, maxBins int) *Cuts {
 		byFeat[fill[col]] = s.Vals[k]
 		fill[col]++
 	}
-	for f := 0; f < s.M; f++ {
-		cuts := quantileCuts(byFeat[offs[f]:offs[f+1]], maxBins)
+	return buildCuts(s.M, maxBins, func(f int, col []float32) []float32 {
+		for _, v := range byFeat[offs[f]:offs[f+1]] {
+			if v == v {
+				col = append(col, v)
+			}
+		}
+		return col
+	})
+}
+
+// buildCuts is the one cut driver behind BuildCuts and BuildCutsCSR.
+// gather appends the non-NaN values of feature f to col and returns it.
+// Features run in parallel over GOMAXPROCS workers, each reusing one
+// column scratch (workers x rows floats, not a copy of the matrix); the
+// cuts are assembled in feature order, so they do not depend on the width.
+func buildCuts(m, maxBins int, gather func(f int, col []float32) []float32) *Cuts {
+	if maxBins <= 1 || maxBins > MaxAllowedBins {
+		maxBins = MaxAllowedBins
+	}
+	pool := sched.NewPool(0)
+	scratch := make([][]float32, pool.Workers())
+	perFeature := make([][]float32, m)
+	pool.ParallelFor(m, 1, func(lo, hi, w int) {
+		for f := lo; f < hi; f++ {
+			scratch[w] = gather(f, scratch[w][:0])
+			perFeature[f] = quantileCuts(scratch[w], maxBins)
+		}
+	})
+	c := &Cuts{M: m, Ptr: make([]int32, m+1), MaxBins: maxBins}
+	for f, cuts := range perFeature {
 		c.Vals = append(c.Vals, cuts...)
 		c.Ptr[f+1] = int32(len(c.Vals))
 	}
@@ -175,11 +199,16 @@ func BuildCutsCSR(s *CSR, maxBins int) *Cuts {
 // increasing cut points such that each bin receives roughly equal mass.
 // A constant feature yields a single cut (one bin). An empty slice yields
 // nil (no data: every value at prediction time clamps to bin 0).
+//
+// The dedup keeps whichever of the equal-comparing -0 and +0 the sort put
+// first, so the sort's permutation is in the cut bits: slices.Sort makes
+// the same one as the sort.Slice reference in equivalence_test.go (one
+// pdqsort template); a sort that does not (a radix sort) changes cuts.
 func quantileCuts(vals []float32, maxBins int) []float32 {
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	// Distinct values.
 	distinct := vals[:0:len(vals)] // reuse storage; safe since sorted scan is forward
 	prev := float32(math.Inf(-1))

@@ -208,6 +208,41 @@ func TestBuildCutsCSRMatchesDense(t *testing.T) {
 	}
 }
 
+func TestBuildCutsCSRExplicitNaNIsMissing(t *testing.T) {
+	// A stored NaN is missing, as in the dense path: the CSR must cut and
+	// bin exactly like its ToDense.
+	b := NewCSRBuilder(2)
+	for i := 0; i < 40; i++ {
+		v := float32(i % 7)
+		if i%5 == 0 {
+			v = float32(math.NaN())
+		}
+		if err := b.AddRow([]int32{0, 1}, []float32{v, float32(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	csr := b.Build()
+	want := BuildCuts(csr.ToDense(), 4)
+	got := BuildCutsCSR(csr, 4)
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Vals) != len(want.Vals) || got.Ptr[1] != want.Ptr[1] {
+		t.Fatalf("CSR cuts %v (ptr %v), want %v (ptr %v)", got.Vals, got.Ptr, want.Vals, want.Ptr)
+	}
+	for k := range want.Vals {
+		if math.Float32bits(got.Vals[k]) != math.Float32bits(want.Vals[k]) {
+			t.Fatalf("CSR cuts %v, want %v", got.Vals, want.Vals)
+		}
+	}
+	gotBins, wantBins := BinCSR(csr, got).Bins, BinDense(csr.ToDense(), want).Bins
+	for i := range wantBins {
+		if gotBins[i] != wantBins[i] {
+			t.Fatalf("bin %d = %d, want %d", i, gotBins[i], wantBins[i])
+		}
+	}
+}
+
 func TestCutsValidateCatchesCorruption(t *testing.T) {
 	d := denseFrom([][]float32{{1, 1}, {2, 2}, {3, 3}})
 	c := BuildCuts(d, 8)

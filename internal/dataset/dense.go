@@ -1,9 +1,9 @@
 // Package dataset provides the input-side substrate for GBDT training:
-// dense and sparse (CSR) value matrices, quantile-sketch bin cuts
-// ("histogram initialization"), the 1-byte binned matrix and its
-// feature-block panel layout, dataset shape statistics (sparseness S and
-// bin-dispersion CV from Table III of the paper), and loaders for libsvm and
-// CSV formats plus a fast binary cache.
+// dense and sparse (CSR) value matrices, exact-quantile bin cuts
+// ("histogram initialization", parallel over features and rows), the 1-byte
+// binned matrix and its feature-block panel layout, dataset shape statistics
+// (sparseness S and bin-dispersion CV from Table III of the paper), and
+// loaders for libsvm and CSV formats plus a fast binary cache.
 package dataset
 
 import (

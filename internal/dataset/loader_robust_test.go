@@ -6,6 +6,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,5 +157,41 @@ func TestCacheRejectsNonFiniteLabels(t *testing.T) {
 	}
 	if _, err := ReadCache(&bad); err == nil || !strings.Contains(err.Error(), "non-finite label") {
 		t.Fatalf("nan label not rejected: %v", err)
+	}
+}
+
+func TestCacheRejectsBadCuts(t *testing.T) {
+	// Feature 1 is constant: its one cut skips the strict-increase check,
+	// so only an explicit NaN check catches a NaN there.
+	d := NewDense(10, 2)
+	for i := 0; i < 10; i++ {
+		d.Set(i, 0, float32(i))
+		d.Set(i, 1, 5)
+	}
+	ds, err := FromDense("t", d, make([]float32, 10), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCache(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	// Header, name, maxBins and the cut count precede Ptr; Vals follows it.
+	ptrOff := 16 + 4 + len(ds.Name) + 4 + 4
+	valsOff := ptrOff + 4*(ds.Cuts.M+1)
+	for _, tc := range []struct {
+		name string
+		off  int
+		word uint32
+		want string
+	}{
+		{"nan cut", valsOff + 4*int(ds.Cuts.Ptr[1]), 0x7fc00000, "NaN cut"},
+		{"ptr beyond vals", ptrOff + 4*ds.Cuts.M, uint32(len(ds.Cuts.Vals) + 1), "cuts ptr spans"},
+	} {
+		raw := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(raw[tc.off:], tc.word)
+		if _, err := ReadCache(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
