@@ -101,7 +101,7 @@ func (r *asyncRun) worker(worker int) {
 
 // claim is critical section 1: pop the best candidate and reserve its
 // leaf. ok means claimed: x comes back expanded, its children allocated
-// but not yet in the tree. done means the tree is finished: leaf budget
+// but not yet in the tree, and final if it took the last leaf. done means the tree is finished: leaf budget
 // spent, or nothing queued and nothing in flight. Neither means the queue
 // is empty but in-flight nodes may still publish children.
 func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
@@ -109,6 +109,7 @@ func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
 	var c grow.Candidate
 	var parent *nodeState
 	var queued int
+	var final bool
 	cur.To(perf.SpinWait)
 	r.mu.Lock()
 	if st.leaves >= r.maxLeaves {
@@ -116,6 +117,7 @@ func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
 	} else if c, ok = st.queue.Pop(); ok { //harplint:ignore spinscope -- the queue is the guarded structure
 		r.outstanding++
 		st.leaves++
+		final = st.leaves >= r.maxLeaves
 		parent = st.nodes[c.NodeID]
 		queued = st.queue.Len() //harplint:ignore spinscope -- the queue is the guarded structure
 	} else {
@@ -130,7 +132,9 @@ func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
 	// candidate was pushed (the queue mutex orders the two).
 	r.b.cAsyncNodes.Inc()
 	mQueueDepth.Set(float64(queued))
-	return r.b.expand(c, parent), true, false
+	x = r.b.expand(c, parent)
+	x.final = final
+	return x, true, false
 }
 
 // graft is critical section 2: the children enter the shared tree

@@ -236,6 +236,11 @@ func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 	}
 	xs := b.applySplitBatch(st, batch)
 	st.leaves += len(batch)
+	if st.leaves >= b.cfg.MaxLeaves() {
+		for i := range xs {
+			xs[i].final = true
+		}
+	}
 	b.buildHistBatch(st, b.planHists(xs))
 	b.findSplitBatch(xs)
 	for i := range xs {
@@ -318,7 +323,11 @@ type expansion struct {
 	// depth is the children's depth, carried here because ASYNC workers
 	// must not read the tree outside the queue lock.
 	depth int32
-	upper float32  // the split's cut value
+	upper float32 // the split's cut value
+	// final marks an expansion of the batch (or the ASYNC claim) that spends
+	// the leaf budget: its children can never split, so they get neither a
+	// histogram nor a split search.
+	final bool
 	plan  histPlan // how the children get histograms, known once partitioned
 	// parentCopy is the parent's histogram as it was before the subtraction
 	// overwrote it, kept for settle's conservation check (nil unless
@@ -448,7 +457,10 @@ func (b *Builder) planFor(x *expansion) histPlan {
 	if x.kids[0].count > x.kids[1].count {
 		small = 1
 	}
-	need := [2]bool{b.canSplit(x.kids[0], x.depth), b.canSplit(x.kids[1], x.depth)}
+	var need [2]bool
+	if !x.final {
+		need = [2]bool{b.canSplit(x.kids[0], x.depth), b.canSplit(x.kids[1], x.depth)}
+	}
 	x.plan = planHist(need, small, !b.cfg.DisableSubtraction && x.parent.hist != nil)
 	return x.plan
 }
@@ -507,24 +519,41 @@ func (s *childSplits) merge(r childSplits) {
 }
 
 // splitBlock is the block step, the only place a block is subtracted or
-// scanned: sibling[block] = parent[block] − built[block] when the plan
-// subtracts, then at once — the block is 16 KB at the default shape and
-// still in L1 — the best split inside the block for each child that needs
-// one.
+// scanned. When the plan subtracts, the built child is listed first — its
+// split search, or Trim when its split is not needed — which shrinks its
+// cell set to the cells it holds; sibling[block] = parent[block] −
+// built[block] then visits those cells only, and at once — the block is
+// 16 KB at the default shape and still in L1 — the sibling's split search
+// runs. Otherwise each child that needs a split is scanned.
 func (b *Builder) splitBlock(x *expansion, fb int) childSplits {
 	p := x.plan
 	fLo, fHi, _ := b.blocks.Block(fb)
-	if p.subtract {
-		lo, hi := b.layout.FeatureRange(fLo, fHi)
-		x.kids[1-p.small].hist.SubRange(x.kids[p.small].hist, lo, hi)
-	}
 	best := noSplits()
+	if p.subtract {
+		built, sibling := x.kids[p.small], x.kids[1-p.small]
+		if p.need[p.small] {
+			best[p.small] = b.findSplit(built, fLo, fHi)
+		} else {
+			built.hist.Trim(fLo, fHi)
+		}
+		if invariant.Enabled {
+			invariant.HistCellSet(built.hist, fLo, fHi, "core.splitBlock")
+		}
+		sibling.hist.SubListed(built.hist, fLo, fHi)
+		best[1-p.small] = b.findSplit(sibling, fLo, fHi)
+		return best
+	}
 	for c, ns := range x.kids {
 		if p.need[c] {
-			best[c] = ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, fLo, fHi, b.colMask)
+			best[c] = b.findSplit(ns, fLo, fHi)
 		}
 	}
 	return best
+}
+
+// findSplit is ns's best split inside features [fLo, fHi).
+func (b *Builder) findSplit(ns *nodeState, fLo, fHi int) tree.SplitInfo {
+	return ns.hist.FindBestSplitMasked(b.cfg.Params, ns.sum, fLo, fHi, b.colMask)
 }
 
 // settle ends the FindSplit step: the children take their best splits, and

@@ -93,13 +93,25 @@ func (b *Builder) accumulate(h *histogram.Hist, st *buildState, ns *nodeState, l
 }
 
 // fill builds block (fb, br) of ns's histogram from all of the node's rows.
-// A pooled histogram's contents are unspecified, so the cells are zeroed
-// first — here, by the task about to write them, not up front by whoever
-// took the histogram from the pool.
+// A pooled histogram holds what its last owner left, so the cells are
+// zeroed first — here, by the task about to write them, not up front by
+// whoever took the histogram from the pool, and only those in its cell set.
 func (b *Builder) fill(st *buildState, ns *nodeState, fb int, br binRange) {
-	fLo, fHi, _ := b.blocks.Block(fb)
+	fLo, fHi, panel := b.blocks.Block(fb)
+	if invariant.Enabled {
+		invariant.HistCellSet(ns.hist, fLo, fHi, "core.fill")
+	}
 	ns.hist.ResetBins(fLo, fHi, br.lo, br.hi)
 	b.accumulate(ns.hist, st, ns, 0, ns.rows.Len(), fb, br)
+	if br == fullBinRange {
+		// A node with fewer rows than a feature has bins: its cell set is
+		// the cells the rows hit, not every writable cell.
+		if ns.rows.Mem != nil {
+			ns.hist.CoverMemBuf(panel, fHi-fLo, ns.rows.Mem, fLo, fHi)
+		} else {
+			ns.hist.CoverRows(panel, fHi-fLo, ns.rows.Rows, fLo, fHi)
+		}
+	}
 }
 
 // buildHistDP is the data-parallel kernel: per-worker histogram replicas
@@ -124,8 +136,12 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 		group := ids[g:end]
 		for _, id := range group {
 			// The reduce target: every replica is added into all of it.
-			st.nodes[id].hist = b.hpool.Get()
-			st.nodes[id].hist.Reset()
+			h := b.hpool.Get()
+			if invariant.Enabled {
+				invariant.HistCellSet(h, 0, b.layout.M, "core.buildHistDP")
+			}
+			h.Reset()
+			st.nodes[id].hist = h
 			mBuildHistRows.Add(int64(st.nodes[id].rows.Len()))
 		}
 		replicas := make([][]*histogram.Hist, workers)
@@ -149,6 +165,9 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 						rep := replicas[w][gi]
 						if rep == nil {
 							rep = b.hpool.Get()
+							if invariant.Enabled {
+								invariant.HistCellSet(rep, 0, b.layout.M, "core.buildHistDP")
+							}
 							rep.Reset() // on first touch, by the worker that fills it
 							replicas[w][gi] = rep
 						}
@@ -205,7 +224,14 @@ func (b *Builder) buildHistMP(st *buildState, ids []int32) {
 	nb := b.blocks.NumBlocks()
 	ranges := b.binRanges()
 	for _, id := range ids {
-		st.nodes[id].hist = b.hpool.Get()
+		h := b.hpool.Get()
+		if len(ranges) > 1 {
+			// The ⟨feature block, bin range⟩ tasks of one node share its
+			// features' cell-set words: widen them here, so that the tasks
+			// only read them (their clears then visit every writable cell).
+			h.MarkWritable(0, b.layout.M)
+		}
+		st.nodes[id].hist = h
 		mBuildHistRows.Add(int64(st.nodes[id].rows.Len()))
 	}
 	var tasks []func(int)

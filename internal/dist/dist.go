@@ -361,11 +361,14 @@ func (t *Trainer) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 		}
 		batch := st.queue.PopBatch(k)
 		st.leaves += len(batch)
+		// The batch that spends the leaf budget is the last: its children
+		// stay leaves, so nothing is built, allreduced or scanned for them.
+		final := st.leaves >= maxLeaves
 		var evalIDs []int32
 		for _, c := range batch {
 			l, r := t.applySplit(st, c.NodeID)
 			for _, id := range []int32{l, r} {
-				if t.canSplit(st, id) {
+				if !final && t.canSplit(st, id) {
 					evalIDs = append(evalIDs, id)
 				}
 			}

@@ -7,6 +7,7 @@ package dist
 // representation's histogram size.
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -132,6 +133,63 @@ func TestLedgerAnalyticBytes(t *testing.T) {
 	// Ring message count: 2(N-1) messages per node per attempt.
 	if steps := int64(rep.Totals.Steps); rep.Nodes[0].MsgsSent != steps*2*2 {
 		t.Fatalf("node 0 sent %d msgs over %d steps, want %d", rep.Nodes[0].MsgsSent, steps, steps*4)
+	}
+}
+
+// TestLedgerFinalBatchSendsNothing: the batch that spends the leaf budget
+// is the last, and its children stay leaves, so it builds, allreduces and
+// scans no histogram. With K=1 that batch is the last split: the ledger's
+// first-send volume must be one dense histogram for the root and for each
+// splittable child of every other split, and less than counting the last
+// split's children too.
+func TestLedgerFinalBatchSendsNothing(t *testing.T) {
+	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 3000, Features: 10, Seed: 31}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad := dyadicGradients(3000, 41)
+	params := tree.DefaultSplitParams()
+	dt, err := NewTrainer(Config{Nodes: 3, TreeSize: 5, K: 1, Params: params}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := dt.BuildTree(grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := bt.Tree
+	if tr.NumLeaves() != 16 {
+		t.Fatalf("%d leaves; the fixture must fill the budget of 16", tr.NumLeaves())
+	}
+	// Splits in the order they were made: children ids grow with each one.
+	var splits []int32
+	for id, n := range tr.Nodes {
+		if !n.IsLeaf() {
+			splits = append(splits, int32(id))
+		}
+	}
+	sort.Slice(splits, func(i, j int) bool { return tr.Nodes[splits[i]].Left < tr.Nodes[splits[j]].Left })
+	histograms := func(splits []int32) int64 {
+		n := int64(1) // the root
+		for _, id := range splits {
+			for _, c := range []int32{tr.Nodes[id].Left, tr.Nodes[id].Right} {
+				if k := tr.Nodes[c]; k.Count >= 2 && k.SumH >= 2*params.MinChildWeight {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	histBytes := int64(dt.layout.TotalBins()) * 16
+	want, all := histograms(splits[:len(splits)-1]), histograms(splits)
+	if want >= all {
+		t.Fatal("the last split has no splittable child: the fixture tests nothing")
+	}
+	for _, nc := range dt.CommsReport().Nodes {
+		if nc.FirstSendBytes != want*histBytes {
+			t.Fatalf("node %d sent %d bytes = %d histograms, want %d (%d with the final batch)",
+				nc.Node, nc.FirstSendBytes, nc.FirstSendBytes/histBytes, want, all)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"harpgbdt/internal/dataset"
 	"harpgbdt/internal/gh"
@@ -20,10 +21,13 @@ import (
 // Stride is the number of cells every feature occupies in a histogram,
 // whatever its cardinality: one per uint8 bin id. The real bins sit at
 // [0, NBins(f)), the rows whose value is missing accumulate into cell
-// dataset.MissingBin (the last one), and the cells between are never
-// written. A bin id therefore indexes a feature's *[Stride]gh.Pair with no
+// dataset.MissingBin (the last one), and no kernel writes the cells
+// between. A bin id therefore indexes a feature's *[Stride]gh.Pair with no
 // bounds check and no missing-value test.
 const Stride = int(dataset.MissingBin) + 1
+
+// setWords is the size of one feature's cell set: one bit per cell.
+const setWords = Stride / 64
 
 // Layout maps (feature, bin) to a flat histogram index: feature f occupies
 // [f*Stride, (f+1)*Stride).
@@ -48,7 +52,7 @@ func NewLayout(cuts *dataset.Cuts) *Layout {
 func (l *Layout) TotalBins() int { return l.total }
 
 // Cells returns the storage length of a histogram, M*Stride: the index
-// space of Data and of the flat ranges AddRange and ResetRange take.
+// space of Data and of the flat ranges AddRange takes.
 func (l *Layout) Cells() int { return l.M * Stride }
 
 // NBins returns the number of real bins of feature f.
@@ -57,44 +61,100 @@ func (l *Layout) NBins(f int) int { return int(l.nbins[f]) }
 // Index returns the flat index of (feature, bin).
 func (l *Layout) Index(f int, bin uint8) int { return f*Stride + int(bin) }
 
-// FeatureRange returns the flat index range [lo, hi) of the features in
-// [fLo, fHi).
-func (l *Layout) FeatureRange(fLo, fHi int) (lo, hi int) {
-	return fLo * Stride, fHi * Stride
-}
-
 // Hist is one node's gradient-statistics histogram: a flat slice of
-// gh.Pair indexed through a Layout.
+// gh.Pair indexed through a Layout, and the set of its cells that may be
+// non-zero.
 type Hist struct {
 	Layout *Layout
 	Data   []gh.Pair
 	// cols[f] is feature f's cells as an array, the view the accumulate
 	// kernels scatter through.
 	cols []*[Stride]gh.Pair
+	// set is the cell set, setWords words per feature: bit t of
+	// set[f*setWords+w] stands for cell 64w+t of feature f. Every cell
+	// outside it is +0 (G and H both all-zero bits), so a pass that visits
+	// only the set — clear, subtract, list — leaves what a pass over every
+	// cell leaves. Writers keep it a superset of the cells they touch;
+	// FindBestSplitMasked and Trim shrink it to the cells that are not +0,
+	// CoverMemBuf and CoverRows to the cells a small node's rows hit.
+	set []uint64
 }
 
-// NewHist allocates a zeroed histogram for the layout.
+// NewHist allocates a zeroed histogram for the layout. Its cell set holds
+// every cell a kernel can write, so a caller writing such cells directly
+// needs no bookkeeping.
 func NewHist(l *Layout) *Hist {
-	h := &Hist{Layout: l, Data: make([]gh.Pair, l.Cells()), cols: make([]*[Stride]gh.Pair, l.M)}
+	h := &Hist{Layout: l, Data: make([]gh.Pair, l.Cells()), cols: make([]*[Stride]gh.Pair, l.M),
+		set: make([]uint64, l.M*setWords)}
 	for f := range h.cols {
 		h.cols[f] = (*[Stride]gh.Pair)(h.Data[f*Stride:])
 	}
+	h.MarkWritable(0, l.M)
 	return h
 }
 
-// Reset zeroes the histogram.
-func (h *Hist) Reset() {
-	for i := range h.Data {
-		h.Data[i] = gh.Pair{}
+// bitRange is the word whose bits [a, b) are set, 0 <= a <= b <= 64.
+func bitRange(a, b int) uint64 {
+	return (uint64(1)<<uint(b) - 1) &^ (uint64(1)<<uint(a) - 1)
+}
+
+// binWord is word w of the real bins [0, nb) of a feature, as a cell set.
+func binWord(nb, w int) uint64 { return bitRange(0, min(max(nb-64*w, 0), 64)) }
+
+// writable is word w of the cells a kernel can write in a feature with nb
+// real bins: its bins and, in the last word, the missing-value cell.
+func writable(nb, w int) uint64 {
+	m := binWord(nb, w)
+	if w == setWords-1 {
+		m |= 1 << 63
+	}
+	return m
+}
+
+// nonZero is 1 if c is anything but +0 — a −0, a residue, a NaN — else 0.
+func nonZero(c gh.Pair) uint64 {
+	v := math.Float64bits(c.G) | math.Float64bits(c.H)
+	return (v | -v) >> 63
+}
+
+// cellSet returns feature f's words of the cell set.
+func (h *Hist) cellSet(f int) *[setWords]uint64 {
+	return (*[setWords]uint64)(h.set[f*setWords:])
+}
+
+// MarkWritable adds every cell a kernel can write in features [fLo, fHi)
+// to the cell set. The kernels call it themselves; a caller whose
+// goroutines fill disjoint bin ranges of the same features at once calls
+// it first, so that the kernels' calls only read the set.
+func (h *Hist) MarkWritable(fLo, fHi int) {
+	for f := fLo; f < fHi; f++ {
+		s, nb := h.cellSet(f), int(h.Layout.nbins[f])
+		for w := range s {
+			if m := writable(nb, w); s[w]&m != m {
+				s[w] |= m
+			}
+		}
 	}
 }
 
-// ResetRange zeroes the flat index range [lo, hi).
-func (h *Hist) ResetRange(lo, hi int) {
-	d := h.Data[lo:hi]
-	for i := range d {
-		d[i] = gh.Pair{}
+// Reset zeroes the histogram: ResetBins over every cell.
+func (h *Hist) Reset() { h.ResetBins(0, h.Layout.M, 0, dataset.MissingBin) }
+
+// StrayCell reports the first cell of features [fLo, fHi) that lies
+// outside the cell set and is not +0: a broken invariant, which the
+// harpdebug layer checks wherever a block is filled.
+func (h *Hist) StrayCell(fLo, fHi int) (f, bin int, ok bool) {
+	for f = fLo; f < fHi; f++ {
+		s, col := h.cellSet(f), h.cols[f]
+		for w, word := range s {
+			for x := ^word; x != 0; x &= x - 1 {
+				if b := w<<6 | bits.TrailingZeros64(x); nonZero(col[uint8(b)]) != 0 {
+					return f, b, true
+				}
+			}
+		}
 	}
+	return 0, 0, false
 }
 
 // At returns the accumulated pair of (feature, bin).
@@ -119,6 +179,20 @@ func (h *Hist) FeatureSum(f int) gh.Pair {
 	return s
 }
 
+// unionSet adds o's cell set of the features the flat range [lo, hi)
+// touches to h's: a cell that is +0 in both stays +0 under a cell-wise sum
+// or difference.
+func (h *Hist) unionSet(o *Hist, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	hs := h.set[lo/Stride*setWords : (hi+Stride-1)/Stride*setWords]
+	os := o.set[lo/Stride*setWords:][:len(hs)]
+	for i := range hs {
+		hs[i] |= os[i]
+	}
+}
+
 // AddHist accumulates o into h cell-wise (replica reduction of data
 // parallelism).
 func (h *Hist) AddHist(o *Hist) {
@@ -130,6 +204,7 @@ func (h *Hist) AddHist(o *Hist) {
 	for i := range hd {
 		hd[i].Add(od[i])
 	}
+	h.unionSet(o, 0, len(hd))
 }
 
 // AddRange accumulates o's flat index range [lo, hi) into h.
@@ -138,19 +213,54 @@ func (h *Hist) AddRange(o *Hist, lo, hi int) {
 	for i := range hd {
 		hd[i].Add(od[i])
 	}
+	h.unionSet(o, lo, hi)
 }
 
 // SubHist computes h -= o cell-wise: the histogram subtraction trick
-// (sibling = parent − built child).
-func (h *Hist) SubHist(o *Hist) { h.SubRange(o, 0, len(h.Data)) }
-
-// SubRange is SubHist over the flat index range [lo, hi): the subtraction
-// of one feature block, for callers that go on to scan the block while it
-// is still in cache.
-func (h *Hist) SubRange(o *Hist, lo, hi int) {
-	hd, od := h.Data[lo:hi], o.Data[lo:hi]
+// (sibling = parent − built child) over every cell.
+func (h *Hist) SubHist(o *Hist) {
+	hd := h.Data
+	od := o.Data[:len(hd)]
 	for i := range hd {
 		hd[i].Sub(od[i])
+	}
+	h.unionSet(o, 0, len(hd))
+}
+
+// SubListed is SubHist over the features [fLo, fHi) that visits o's cell
+// set only: every other cell of o is +0, and x − (+0) == x for every x, −0
+// and NaN included, so h ends where SubHist leaves it, to the bit. h's set
+// becomes the union of both. The subtraction trick calls it with a built
+// child whose set a split scan (or Trim) has just shrunk, so it costs what
+// the smaller child holds.
+func (h *Hist) SubListed(o *Hist, fLo, fHi int) {
+	for f := fLo; f < fHi; f++ {
+		hs, os := h.cellSet(f), o.cellSet(f)
+		hc, oc := h.cols[f], o.cols[f]
+		for w, word := range os {
+			hs[w] |= word
+			for x := word; x != 0; x &= x - 1 {
+				b := uint8(w<<6 | bits.TrailingZeros64(x))
+				hc[b].Sub(oc[b])
+			}
+		}
+	}
+}
+
+// Trim drops every cell that holds +0 from the cell set of features
+// [fLo, fHi): the listing half of FindBestSplitMasked, for a histogram
+// whose split nobody needs but whose set a later pass visits.
+func (h *Hist) Trim(fLo, fHi int) {
+	for f := fLo; f < fHi; f++ {
+		s, col := h.cellSet(f), h.cols[f]
+		for w, word := range s {
+			var keep uint64
+			for x := word; x != 0; x &= x - 1 {
+				t := bits.TrailingZeros64(x)
+				keep |= nonZero(col[uint8(w<<6|t)]) << t
+			}
+			s[w] = keep
+		}
 	}
 }
 
@@ -158,6 +268,7 @@ func (h *Hist) SubRange(o *Hist, lo, hi int) {
 func (h *Hist) Clone() *Hist {
 	c := NewHist(h.Layout)
 	copy(c.Data, h.Data)
+	copy(c.set, h.set)
 	return c
 }
 
@@ -186,11 +297,13 @@ func (h *Hist) FindBestSplit(p tree.SplitParams, total gh.Pair, fLo, fHi int) tr
 // splits only on the tree's sampled feature set.
 //
 // The scan costs what the node holds, not what the layout could hold: per
-// feature, one branch-free pass lists the bins that are not empty (G and H
-// both ±0), and the feature sum and the candidate enumeration run over that
-// list only. The result is the one a scan of every bin returns, to the last
-// bit: x + ±0 == x for every partial sum that starts at +0, so skipping an
-// empty bin changes no sum, and the candidates of an empty bin b > 0 repeat
+// feature, one branch-free pass over the cell set lists the bins that are
+// not +0, and the feature sum and the candidate enumeration run over that
+// list only. The same pass shrinks the feature's set to its cells that are
+// not +0, the missing cell included. The result is the one a scan of every
+// bin returns, to the last bit: every partial sum starts at +0 and is never
+// −0, and x + ±0 == x for such an x, so skipping an empty bin — or listing
+// a −0 one — changes no sum; the candidates of an unlisted bin b > 0 repeat
 // the prefix of the nearest listed bin below it, to which they lose
 // SplitInfo.Better's tie-break. Bin 0 has no bin below it and is always
 // listed.
@@ -200,7 +313,6 @@ func (h *Hist) FindBestSplitMasked(p tree.SplitParams, total gh.Pair, fLo, fHi i
 	// occ[0] is never written: bin 0. A cursor masked with Stride-1 (a no-op,
 	// n <= NBins(f) < Stride) and a uint8 bin id index without bounds checks.
 	var occ [Stride]uint8
-	const sign = 1 << 63
 	for f := fLo; f < fHi; f++ {
 		if allowed != nil && !allowed[f] {
 			continue
@@ -209,14 +321,29 @@ func (h *Hist) FindBestSplitMasked(p tree.SplitParams, total gh.Pair, fLo, fHi i
 		if nb == 0 {
 			continue
 		}
-		col := h.cols[f]
+		col, s := h.cols[f], h.cellSet(f)
 		n := 1
-		for i, c := range col[1:nb] {
-			// u is zero iff G and H are both ±0 (the sign bits are masked
-			// out); adding 2^63-1 carries into the top bit iff it is not.
-			u := (math.Float64bits(c.G) | math.Float64bits(c.H)) &^ sign
-			occ[n&(Stride-1)] = uint8(i + 1)
-			n += int((u + (sign - 1)) >> 63)
+		for w, word := range s {
+			listable := binWord(nb, w)
+			if w == 0 {
+				listable &^= 1 // bin 0
+			}
+			var keep uint64
+			for x := word & listable; x != 0; x &= x - 1 {
+				t := bits.TrailingZeros64(x)
+				b := uint8(w<<6 | t)
+				nz := nonZero(col[b])
+				keep |= nz << t
+				occ[n&(Stride-1)] = b
+				n += int(nz)
+			}
+			// Bin 0, the missing cell and cells past the last bin stay in
+			// the set while they are not +0; none of them is listed.
+			for x := word &^ listable; x != 0; x &= x - 1 {
+				t := bits.TrailingZeros64(x)
+				keep |= nonZero(col[uint8(w<<6|t)]) << t
+			}
+			s[w] = keep
 		}
 		featSum := gh.Pair{}
 		for i := 0; i < n; i++ {

@@ -84,10 +84,6 @@ func TestLayout(t *testing.T) {
 	if l.Index(2, dataset.MissingBin) != l.Cells()-1 {
 		t.Fatalf("missing cell of the last feature at %d", l.Index(2, dataset.MissingBin))
 	}
-	lo, hi := l.FeatureRange(1, 3)
-	if lo != Stride || hi != 3*Stride {
-		t.Fatalf("feature range [%d,%d)", lo, hi)
-	}
 	h := NewHist(l)
 	if len(h.Data) != l.Cells() {
 		t.Fatalf("histogram holds %d cells, layout says %d", len(h.Data), l.Cells())
@@ -285,21 +281,6 @@ func TestAddRangeEquivalentToAddHist(t *testing.T) {
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("AddRange differs at %d", i)
-		}
-	}
-}
-
-func TestResetRange(t *testing.T) {
-	layout := layoutOf(10)
-	h := NewHist(layout)
-	for i := range h.Data {
-		h.Data[i] = gh.Pair{G: 1, H: 1}
-	}
-	h.ResetRange(3, 7)
-	for i := range h.Data {
-		zero := h.Data[i].IsZero()
-		if (i >= 3 && i < 7) != zero {
-			t.Fatalf("cell %d zero=%v", i, zero)
 		}
 	}
 }

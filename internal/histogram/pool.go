@@ -32,12 +32,13 @@ func NewPool(l *Layout) *Pool {
 // Layout returns the pool's histogram layout.
 func (p *Pool) Layout() *Layout { return p.layout }
 
-// Get returns a histogram, reusing a released one when available. Its
-// contents are unspecified: whoever fills it zeroes the cells it owns
-// (ResetBins in a block task, Reset for a whole histogram) right before
-// scattering into them, so clearing is spread over the tasks and touches
-// lines about to be written instead of costing the caller one pass over
-// the whole slab per node.
+// Get returns a histogram, reusing a released one when available. It holds
+// what its last owner left, and its cell set says where: every cell outside
+// the set is +0. Whoever fills it zeroes the cells it owns (ResetBins in a
+// block task, Reset for a whole histogram) right before scattering into
+// them, visiting the set only, so clearing is spread over the tasks, costs
+// what the last owner dirtied and touches lines about to be written
+// instead of costing the caller one pass over the whole slab per node.
 func (p *Pool) Get() *Hist {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -51,10 +52,11 @@ func (p *Pool) Get() *Hist {
 	return NewHist(p.layout)
 }
 
-// Put releases a histogram back to the pool. The histogram must not be used
-// afterwards. Under the harpdebug tag it is filled with NaN, so a cell its
-// next owner reads without having zeroed it fails the invariant layer's
-// histogram totals instead of passing for a stale sum.
+// Put releases a histogram back to the pool, cell set and all. The
+// histogram must not be used afterwards. Under the harpdebug tag it is
+// filled with NaN and every cell joins its set, so a cell its next owner
+// reads without having zeroed it fails the invariant layer's histogram
+// totals instead of passing for a stale sum.
 func (p *Pool) Put(h *Hist) {
 	if h == nil {
 		return
@@ -63,6 +65,9 @@ func (p *Pool) Put(h *Hist) {
 		nan := math.NaN()
 		for i := range h.Data {
 			h.Data[i] = gh.Pair{G: nan, H: nan}
+		}
+		for i := range h.set {
+			h.set[i] = ^uint64(0)
 		}
 	}
 	p.mu.Lock()

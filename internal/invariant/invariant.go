@@ -127,6 +127,19 @@ func HistFeatureTotals(h *histogram.Hist, nodeSum gh.Pair, ctx string) {
 	}
 }
 
+// HistCellSet checks a histogram's cell-set invariant over features
+// [fLo, fHi): every cell outside the set is +0. The passes that visit the
+// set only — the block clear, the subtraction, the split listing — read
+// nothing else, so a stray cell would survive a clear or a subtraction.
+func HistCellSet(h *histogram.Hist, fLo, fHi int, ctx string) {
+	if !Enabled {
+		return
+	}
+	if f, bin, bad := h.StrayCell(fLo, fHi); bad {
+		Failf("%s: cell %d of feature %d holds %+v outside the histogram's cell set", ctx, bin, f, h.At(f, uint8(bin)))
+	}
+}
+
 // RowIDs returns the row ids of rs in order: the snapshot of a parent's
 // rows that PartitionPermutation compares against, taken before an in-place
 // ApplySplit overwrites them. Nil unless built with harpdebug.

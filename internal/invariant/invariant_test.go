@@ -110,6 +110,20 @@ func TestHistFeatureTotalsDetectsExcessMass(t *testing.T) {
 		"feature 1 bins + missing cell")
 }
 
+func TestHistCellSetDetectsStrayCell(t *testing.T) {
+	l := testLayout(t)
+	h := histogram.NewHist(l)
+	h.Data[l.Index(0, 0)] = gh.Pair{G: 1, H: 2}
+	h.Trim(0, l.M) // the set is now exactly cell (0, 0)
+	if msgs := capture(t, func() { invariant.HistCellSet(h, 0, l.M, "ok") }); len(msgs) != 0 {
+		t.Fatalf("histogram inside its cell set flagged: %q", msgs)
+	}
+	// A write behind the set's back: the next clear would not remove it.
+	h.Data[l.Index(1, dataset.MissingBin)] = gh.Pair{G: 0.5, H: 1}
+	expect(t, capture(t, func() { invariant.HistCellSet(h, 0, l.M, "bad") }),
+		"outside the histogram's cell set")
+}
+
 // partitionTest is the split "bin <= 1 goes left, missing goes right" over
 // a one-feature column in which rows 0 and 2 pass.
 func partitionTest() engine.SplitTest {

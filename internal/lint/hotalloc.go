@@ -57,7 +57,9 @@ func DefaultHotRoots() []HotRoot {
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "AddHist"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "AddRange"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "SubHist"},
-		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "SubRange"},
+		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "SubListed"},
+		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Trim"},
+		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Cover"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Reset"},
 		{PkgSuffix: "internal/core", Recv: "Builder", NamePrefix: "accumulate"},
 	}
