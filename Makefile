@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test lint gates sarif race-sanitize fuzz race-full fault chaos bench benchdiff efficiency comms baseline trace clean
+.PHONY: check vet build test lint gates race-sanitize fault chaos bench benchdiff baseline clean
 
 ## check: the full verification gate (vet + build + harplint + the
 ## compiler-contract gate + the test suite under race detector *and*
@@ -21,11 +21,9 @@ test:
 	$(GO) test ./...
 
 ## lint: run the domain-specific static analyzer (spinscope, lockbalance,
-## determinism, obshygiene, histlife, barrierbalance, hotalloc, the
-## SSA-lite dataflow rules goroutineleak, errflow, ctxflow, atomicmix,
-## plus the lockset race rule locksetrace) against both build
-## configurations — the release tree and the harpdebug invariant layer;
-## exits non-zero on unsuppressed findings
+## determinism, obshygiene, hotalloc, goroutineleak, errflow) against both
+## build configurations — the release tree and the harpdebug invariant
+## layer; exits non-zero on unsuppressed findings
 lint:
 	$(GO) run ./cmd/harplint ./...
 	$(GO) run ./cmd/harplint -tags harpdebug ./...
@@ -38,12 +36,6 @@ lint:
 gates:
 	$(GO) run ./cmd/harplint -gates
 
-## sarif: write the harplint findings (both build configurations merged
-## by the consumer; this emits the default configuration) as a SARIF
-## 2.1.0 log for code-scanning UIs
-sarif:
-	$(GO) run ./cmd/harplint -sarif harplint.sarif ./...
-
 ## race-sanitize: invariants and the race detector together — the
 ## strictest fast gate (it subsumes plain -race and plain -tags harpdebug
 ## runs: same tests, both layers on). The four concurrency-heavy packages (the
@@ -53,17 +45,6 @@ sarif:
 race-sanitize:
 	$(GO) test -race -short -tags harpdebug ./...
 	$(GO) test -race ./internal/dist/ ./internal/fault/ ./internal/perf/ ./internal/dataset/
-
-## fuzz: short fuzz sessions over the dataset loaders
-fuzz:
-	$(GO) test -fuzz=FuzzReadLibSVM -fuzztime=5s ./internal/dataset/
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime=5s ./internal/dataset/
-
-## race-full: the whole suite under -race, the full-experiment sweeps
-## included (race-sanitize runs -short: those sweeps take >10 min under
-## the race detector on small machines)
-race-full:
-	$(GO) test -race -timeout 45m ./...
 
 ## fault: the fault-tolerance suite under the race detector (injection
 ## registry, panic-safe workers, flight-recorder dumps, crash/resume,
@@ -105,30 +86,14 @@ bench:
 benchdiff:
 	$(GO) run ./cmd/experiments benchdiff
 
-## efficiency: the parallel-efficiency sweep ({DP,MP,SYNC,ASYNC} x TopK x
-## block shape) with per-worker wait-state tables; writes efficiency.json
-efficiency:
-	$(GO) run ./cmd/experiments efficiency
-
-## comms: the distributed communication study — the bench on the simulated
-## cluster with the per-node message/byte ledger; writes comms.json (whose
-## comms section the benchdiff gate pins when committed as a baseline)
-comms:
-	$(GO) run ./cmd/experiments comms
-
 ## baseline: refresh the committed structural baseline at the gate's
 ## canonical scale (commit the resulting BENCH_baseline.json with the
 ## change that moved it)
 baseline:
 	$(GO) run ./cmd/experiments -rows 100000 -rounds 5 -bench-out BENCH_baseline.json bench
 
-## trace: produce a sample Chrome trace from a small training run
-trace:
-	$(GO) run ./cmd/harpgbdt train -synth higgs -rows 20000 -trees 10 \
-		-model /tmp/harpgbdt-model.json -trace-out trace.json -profile
-
 # clean removes untracked run outputs only: BENCH_baseline.json and the
 # BENCH_<date>_<commit>.json trajectory points are committed files.
 clean:
-	rm -f trace.json efficiency.json comms.json cluster-trace.json chaos.json harplint.sarif
+	rm -f trace.json efficiency.json comms.json cluster-trace.json chaos.json
 	rm -rf chaos-work

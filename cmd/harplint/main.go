@@ -1,13 +1,9 @@
 // Command harplint runs the domain-specific static analyzer over this
-// module: spin-lock critical-section scope, lock balance, training-path
-// determinism, observability naming hygiene, histogram-pool buffer
-// lifetimes (histlife), WaitGroup/channel barrier balance
-// (barrierbalance), kernel allocation freedom (hotalloc), and the
-// SSA-lite dataflow rules — goroutine join paths (goroutineleak),
-// persistence error observation (errflow), context honoring (ctxflow),
-// and atomic/plain access mixing (atomicmix) — plus the lockset race
-// rule (locksetrace): mutex-guarded fields stay guarded on concurrent
-// paths, disciplines never mix, and lock acquisition order is acyclic.
+// module: spin-lock critical-section scope (spinscope), lock balance
+// (lockbalance), training-path determinism (determinism), observability
+// naming hygiene (obshygiene), kernel allocation freedom (hotalloc),
+// goroutine join paths (goroutineleak) and persistence error observation
+// (errflow).
 //
 // Usage:
 //
@@ -17,8 +13,7 @@
 // flag selects the analyzed build configuration (run once with no tags and
 // once with -tags harpdebug to cover both sides of the invariant layer).
 //
-// Findings print in go vet format (file:line:col: message [rule]); -sarif
-// additionally writes them as a SARIF 2.1.0 log for code-scanning UIs.
+// Findings print in go vet format (file:line:col: message [rule]).
 // Exit status is 1 when unsuppressed findings exist, 2 on load or
 // type-check errors — a module that does not type-check cannot be
 // analyzed reliably, so type errors are fatal, not warnings.
@@ -51,7 +46,6 @@ func main() {
 		showIgnored = flag.Bool("show-ignored", false, "also print suppressed findings")
 		listRules   = flag.Bool("rules", false, "list rule names and exit")
 		tags        = flag.String("tags", "", "comma-separated build tags of the analyzed configuration")
-		sarifOut    = flag.String("sarif", "", `write findings as SARIF 2.1.0 to this file ("-" for stdout)`)
 		gates       = flag.Bool("gates", false, "run the compiler-contract gate against COMPILER_baseline.txt and exit")
 		update      = flag.Bool("update", false, "with -gates: regenerate COMPILER_baseline.txt from the current build")
 		stats       = flag.Bool("stats", false, "print per-rule finding counts and per-analysis wall time")
@@ -112,11 +106,6 @@ func main() {
 	}
 
 	findings, analysisStats := lint.RunWithStats(pkgs, analyses)
-	if *sarifOut != "" {
-		if err := writeSARIF(*sarifOut, findings, lint.RuleNames(analyses), loader.Root); err != nil {
-			fatal(err)
-		}
-	}
 	bad := 0
 	for _, f := range findings {
 		if f.Suppressed {
@@ -135,20 +124,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "harplint: %d finding(s) in %d package(s)\n", bad, len(pkgs))
 		os.Exit(1)
 	}
-}
-
-// writeSARIF renders findings as SARIF 2.1.0 to path ("-" = stdout).
-func writeSARIF(path string, findings []lint.Finding, rules []string, root string) error {
-	data, err := lint.SARIF(findings, rules, root)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // runGates runs the compiler-contract gate: measure the reach set's

@@ -56,7 +56,9 @@ func (p *Pool) Get() *Hist {
 // histogram must not be used afterwards. Under the harpdebug tag it is
 // filled with NaN and every cell joins its set, so a cell its next owner
 // reads without having zeroed it fails the invariant layer's histogram
-// totals instead of passing for a stale sum.
+// totals instead of passing for a stale sum; and putting a histogram
+// that is already on the free list panics instead of queueing it twice,
+// which would hand one slab to two nodes.
 func (p *Pool) Put(h *Hist) {
 	if h == nil {
 		return
@@ -70,9 +72,20 @@ func (p *Pool) Put(h *Hist) {
 			h.set[i] = ^uint64(0)
 		}
 	}
+	double := false
 	p.mu.Lock()
-	p.free = append(p.free, h) //harplint:ignore spinscope -- free-list append; capacity reaches steady state after the first tree, so this almost never allocates
+	if debugTagEnabled {
+		for _, f := range p.free {
+			double = double || f == h
+		}
+	}
+	if !double {
+		p.free = append(p.free, h) //harplint:ignore spinscope -- free-list append; capacity reaches steady state after the first tree, so this almost never allocates
+	}
 	p.mu.Unlock()
+	if double {
+		panic("histogram: Pool.Put of a histogram that is already in the pool")
+	}
 }
 
 // Allocated reports how many distinct histograms the pool has created.

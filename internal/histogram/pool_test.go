@@ -51,6 +51,28 @@ func TestPool(t *testing.T) {
 	p.Put(nil) // must not panic
 }
 
+// TestPoolDoublePutPanics: under harpdebug a second Put of a histogram
+// that is already on the free list panics, after releasing the lock,
+// instead of queueing one slab for two future owners.
+func TestPoolDoublePutPanics(t *testing.T) {
+	if !debugTagEnabled {
+		t.Skip("double-Put detection is part of the harpdebug invariant layer")
+	}
+	p := NewPool(layoutOf(4))
+	h, other := p.Get(), p.Get()
+	p.Put(h)
+	p.Put(other)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Put of the same histogram did not panic")
+		}
+		if a, b := p.Get(), p.Get(); a == b {
+			t.Fatal("the free list holds one histogram twice")
+		}
+	}()
+	p.Put(h)
+}
+
 // TestPoolConcurrentGetPut hammers the spin-mutex-guarded free list from
 // many goroutines (run under -race by the race-sanitize target) and checks
 // the two properties the ASYNC mode needs from the pool: no buffer is

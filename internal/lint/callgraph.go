@@ -13,7 +13,7 @@ import (
 // call graph over the loaded packages, with per-call liveness under the
 // analyzed build configuration (calls inside `if invariant.Enabled { ... }`
 // branches are dead in the default config and must not propagate
-// must-not-allocate obligations or release summaries).
+// must-not-allocate obligations or join and error-propagation summaries).
 
 // FuncInfo is one declared function or method with a parsed body.
 type FuncInfo struct {
@@ -30,7 +30,6 @@ type FuncInfo struct {
 // CallSite is one resolved call inside a function body.
 type CallSite struct {
 	Callee *types.Func
-	Pos    token.Pos
 	// Live reports whether the call is reachable under the analyzed build
 	// configuration (false inside statically-dead branches).
 	Live bool
@@ -63,7 +62,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 						return false // closures are separate execution contexts
 					case *ast.CallExpr:
 						if callee := calleeOf(p, n); callee != nil {
-							fi.Calls = append(fi.Calls, CallSite{Callee: callee, Pos: n.Pos(), Live: live})
+							fi.Calls = append(fi.Calls, CallSite{Callee: callee, Live: live})
 						}
 					}
 					return true
@@ -159,22 +158,6 @@ func pkgConstBool(p *Package, cond ast.Expr, want bool) bool {
 		}
 	}
 	return false
-}
-
-// namedIn reports whether t (after stripping one pointer) is the named
-// type name declared in a package whose import path ends with pkgSuffix.
-func namedIn(t types.Type, pkgSuffix, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Name() == name && strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
 // funcLabel renders a human-readable name for a function object:

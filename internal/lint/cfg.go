@@ -6,18 +6,16 @@ import (
 )
 
 // This file is the control-flow half of harplint's SSA-lite dataflow
-// engine: a per-function control-flow graph at statement granularity. The
-// flow-sensitive rules (errflow's use-before-loss analysis, ctxflow's
-// loop-termination reasoning) walk these blocks instead of the raw AST,
-// which is what lets them make per-path "must" judgments — every finding
+// engine: a per-function control-flow graph at statement granularity.
+// errflow's use-before-loss analysis walks these blocks instead of the raw
+// AST, which is what lets it make per-path "must" judgments — every finding
 // is a certainty on some concrete execution path, not a syntactic maybe.
 //
 // The graph is deliberately lighter than full SSA: statements are not
 // decomposed into instructions and variables are not renamed. Blocks carry
 // the branch condition they end on (Cond, with the true edge first), so a
 // rule that needs branch-condition tracking — errflow treating `if err !=
-// nil` as a consuming use, ctxflow recognizing constant-false guards —
-// reads it straight off the block.
+// nil` as a consuming use — reads it straight off the block.
 
 // Block is one basic block: a maximal straight-line statement sequence.
 type Block struct {
@@ -75,12 +73,10 @@ func (g *CFG) wirePreds() {
 // loopFrame tracks the jump targets of one enclosing loop (or switch, for
 // break).
 type loopFrame struct {
-	label     string
-	breakTo   *Block
-	contTo    *Block // nil for switch/select frames
-	isLoop    bool
-	savedCur  *Block
-	savedCond ast.Expr
+	label   string
+	breakTo *Block
+	contTo  *Block // nil for switch/select frames
+	isLoop  bool
 }
 
 type cfgBuilder struct {
@@ -295,8 +291,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 // clause is one case of a switch or select.
 type clause struct {
-	comm ast.Stmt // the comm statement of a select case (nil otherwise)
-	expr []ast.Expr
 	body []ast.Stmt
 	dflt bool
 }
@@ -305,7 +299,7 @@ func clauseList(body *ast.BlockStmt) []clause {
 	var out []clause
 	for _, s := range body.List {
 		if cc, ok := s.(*ast.CaseClause); ok {
-			out = append(out, clause{expr: cc.List, body: cc.Body, dflt: cc.List == nil})
+			out = append(out, clause{body: cc.Body, dflt: cc.List == nil})
 		}
 	}
 	return out

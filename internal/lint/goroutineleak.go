@@ -152,4 +152,15 @@ func (a *goroutineLeakAnalysis) joined(p *Package, call *ast.CallExpr) bool {
 	return false
 }
 
+func isWaitGroup(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "WaitGroup"
+}
+
 var _ ModuleAnalysis = (*goroutineLeakAnalysis)(nil)

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -137,17 +136,6 @@ func (a *hotAllocAnalysis) Prepare(pkgs []*Package) {
 			queue = append(queue, callee)
 		}
 	}
-}
-
-// HotFuncs returns the labels of the hot set, sorted — used by tests to
-// pin the reachable kernel surface.
-func (a *hotAllocAnalysis) HotFuncs() []string {
-	out := make([]string, 0, len(a.reach))
-	for fn := range a.reach {
-		out = append(out, funcLabel(fn))
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (a *hotAllocAnalysis) Check(p *Package, report func(rule string, pos token.Pos, msg string)) {

@@ -15,42 +15,23 @@
 //   - obshygiene: metric and trace span names must be compile-time
 //     constants so the observability surface is statically enumerable.
 //
-// and three interprocedural passes over a module-wide call graph:
+// and three interprocedural rules over a module-wide call graph
+// (callgraph.go); errflow also walks per-function CFGs with def-use chains
+// (cfg.go, dataflow.go):
 //
-//   - histlife: histogram.Pool buffer lifetimes — use after Put, double
-//     Put (including through callees that release a *Hist parameter), and
-//     escapes out of the confined BuildHist write region.
-//   - barrierbalance: sync.WaitGroup Add/Done/Wait balance with callee
-//     Done summaries, plus double channel close.
 //   - hotalloc: functions reachable from the BuildHist / FindSplit kernel
 //     roots must not allocate (composite literals, append growth, make,
 //     closure captures, implicit interface conversions).
-//
-// and four flow-sensitive rules built on the SSA-lite engine (per-function
-// CFGs with def-use chains and branch-condition tracking, cfg.go +
-// dataflow.go):
-//
 //   - goroutineleak: every go statement has a provable join path —
 //     WaitGroup Done, channel close/send/receive, or a context bridge,
 //     interprocedurally through module callees.
 //   - errflow: errors originating in the safeio persistence layer (and
 //     everything that forwards them: checkpoints, flight dumps, dist
 //     restore) are never discarded or shadowed, and are wrapped with %w.
-//   - ctxflow: a function holding a context.Context honors it — no
-//     ignored context parameters, no uncancellable infinite loops, no
-//     bare blocking receives outside select.
-//   - atomicmix: no field is touched both atomically (sync/atomic calls)
-//     and plainly — the perf-ledger-matrix data race the race detector
-//     only sees under contention.
 //
-// and a lockset data-race rule on the same lock-state walker
-// (locksetrace.go):
-//
-//   - locksetrace: every struct field guarded by a same-struct mutex
-//     somewhere must be guarded everywhere it is touched on a concurrent
-//     path (goroutine or sched.Pool worker reach), atomic and mutex
-//     disciplines must not mix on one field, and lock acquisition order
-//     must be cycle-free across the interprocedural call graph.
+// Data races, atomic/plain access mixing and histogram use after Put are
+// left to the race detector and the harpdebug invariant layer, which run
+// the same code under `make race-sanitize`.
 //
 // One compiler-contract gate (compiler.go) diffs real compiler
 // diagnostics against a committed baseline; it is a build-level pass
@@ -104,8 +85,8 @@ type Analysis interface {
 }
 
 // ModuleAnalysis is an Analysis that needs a module-wide view before the
-// per-package Check calls: the interprocedural passes (histlife,
-// barrierbalance, hotalloc) build a call graph and function summaries over
+// per-package Check calls: the interprocedural passes (hotalloc,
+// goroutineleak, errflow) build a call graph and function summaries over
 // the whole package set here.
 type ModuleAnalysis interface {
 	Analysis
@@ -154,14 +135,9 @@ func DefaultAnalyses(module string) []Analysis {
 		&lockAnalysis{},
 		&determinismAnalysis{packages: det},
 		NewObsHygieneAnalysis(srv...),
-		&histLifeAnalysis{},
-		&barrierAnalysis{},
 		NewHotAllocAnalysis(DefaultHotRoots()...),
 		&goroutineLeakAnalysis{},
 		&errFlowAnalysis{},
-		&ctxFlowAnalysis{},
-		&atomicMixAnalysis{},
-		NewLocksetAnalysis(),
 	}
 }
 

@@ -140,14 +140,6 @@ func TestIgnoreDirectives(t *testing.T) {
 	checkFixture(t, "ignorebad", lint.DefaultAnalyses("harpgbdt"))
 }
 
-func TestHistLifeFixture(t *testing.T) {
-	checkFixture(t, "histbad", lint.DefaultAnalyses("harpgbdt"))
-}
-
-func TestBarrierBalanceFixture(t *testing.T) {
-	checkFixture(t, "barrierbad", lint.DefaultAnalyses("harpgbdt"))
-}
-
 func TestHotAllocFixture(t *testing.T) {
 	// Root the rule at the fixture's kernel* functions, the way
 	// DefaultHotRoots points it at the histogram kernels.
@@ -164,28 +156,41 @@ func TestErrFlowFixture(t *testing.T) {
 	checkFixture(t, "errbad", lint.DefaultAnalyses("harpgbdt"))
 }
 
-func TestCtxFlowFixture(t *testing.T) {
-	checkFixture(t, "ctxbad", lint.DefaultAnalyses("harpgbdt"))
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	checkFixture(t, "atomicbad", lint.DefaultAnalyses("harpgbdt"))
-}
-
-func TestLocksetRaceFixture(t *testing.T) {
-	checkFixture(t, "racebad", []lint.Analysis{lint.NewLocksetAnalysis()})
-}
-
 // TestRuleNames pins the rule inventory: renaming or dropping a rule is
 // an interface change that must be deliberate.
 func TestRuleNames(t *testing.T) {
 	got := lint.RuleNames(lint.DefaultAnalyses("harpgbdt"))
-	want := []string{"atomicmix", "barrierbalance", "ctxflow", "determinism", "directive", "errflow", "goroutineleak", "histlife", "hotalloc", "lockbalance", "locksetrace", "obshygiene", "spinscope"}
+	want := []string{"determinism", "directive", "errflow", "goroutineleak", "hotalloc", "lockbalance", "obshygiene", "spinscope"}
 	if !sort.StringsAreSorted(got) {
 		t.Errorf("RuleNames not sorted: %v", got)
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("RuleNames = %v, want %v", got, want)
+	}
+}
+
+// TestEveryRuleFires checks that each rule of the default set is expected
+// to fire by a want marker in some fixture, so no rule ships without a
+// fixture proving it reports. The synthetic directive rule is exempt.
+func TestEveryRuleFires(t *testing.T) {
+	root := filepath.Join("testdata", "src")
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := make(map[string]bool)
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		for key := range wantMarkers(t, filepath.Join(root, e.Name())) {
+			fired[key[strings.LastIndex(key, ":")+1:]] = true
+		}
+	}
+	for _, rule := range lint.RuleNames(lint.DefaultAnalyses("harpgbdt")) {
+		if rule != "directive" && !fired[rule] {
+			t.Errorf("rule %s has no // want marker in any fixture under %s", rule, root)
+		}
 	}
 }
 

@@ -59,16 +59,12 @@ func mutexKindOf(t types.Type) int {
 }
 
 // heldInfo records one held mutex: its kind, acquisition site, and
-// whether a deferred unlock already guarantees release. obj is the mutex
-// variable or struct-field object when the receiver expression resolves
-// to one (locksetrace keys lock identity on it; nil for expressions the
-// type-checker cannot pin to a variable).
+// whether a deferred unlock already guarantees release.
 type heldInfo struct {
 	kind     int
 	pos      token.Pos
 	deferred bool
 	rlocked  bool
-	obj      types.Object
 }
 
 type heldMap map[string]heldInfo
@@ -144,10 +140,6 @@ func (a *lockAnalysis) Check(p *Package, report func(rule string, pos token.Pos,
 type lockWalker struct {
 	p      *Package
 	report func(rule string, pos token.Pos, msg string)
-	// onStmt, when set, observes every statement with the lock state at
-	// its entry (locksetrace's feed). Observers must snapshot what they
-	// need: the map mutates as the walk proceeds.
-	onStmt func(s ast.Stmt, held heldMap)
 }
 
 // stmts walks a statement list, threading lock state. The bool result
@@ -165,19 +157,16 @@ func (w *lockWalker) stmts(list []ast.Stmt, held heldMap) (heldMap, bool) {
 }
 
 func (w *lockWalker) stmt(s ast.Stmt, held heldMap) (heldMap, bool) {
-	if w.onStmt != nil {
-		w.onStmt(s, held)
-	}
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if kind, key, method, obj, ok := w.lockOp(call); ok {
-				return w.applyLockOp(held, kind, key, method, obj, call.Pos()), false
+			if kind, key, method, ok := w.lockOp(call); ok {
+				return w.applyLockOp(held, kind, key, method, call.Pos()), false
 			}
 		}
 		w.checkExpr(s.X, held)
 	case *ast.DeferStmt:
-		if _, key, method, _, ok := w.lockOp(s.Call); ok && isUnlock(method) {
+		if _, key, method, ok := w.lockOp(s.Call); ok && isUnlock(method) {
 			if info, exists := held[key]; exists {
 				info.deferred = true
 				held[key] = info
@@ -372,7 +361,7 @@ func (w *lockWalker) merge(pos token.Pos, entry heldMap, outs []heldMap, terms [
 }
 
 // applyLockOp updates held for a Lock/Unlock-family call.
-func (w *lockWalker) applyLockOp(held heldMap, kind int, key, method string, obj types.Object, pos token.Pos) heldMap {
+func (w *lockWalker) applyLockOp(held heldMap, kind int, key, method string, pos token.Pos) heldMap {
 	switch method {
 	case "Lock", "RLock":
 		if info, exists := held[key]; exists && !(method == "RLock" && info.rlocked) {
@@ -380,7 +369,7 @@ func (w *lockWalker) applyLockOp(held heldMap, kind int, key, method string, obj
 				fmt.Sprintf("%s is locked while already held (self-deadlock)", key))
 			return held
 		}
-		held[key] = heldInfo{kind: kind, pos: pos, rlocked: method == "RLock", obj: obj}
+		held[key] = heldInfo{kind: kind, pos: pos, rlocked: method == "RLock"}
 	case "Unlock", "RUnlock":
 		delete(held, key)
 	}
@@ -390,28 +379,27 @@ func (w *lockWalker) applyLockOp(held heldMap, kind int, key, method string, obj
 func isUnlock(method string) bool { return method == "Unlock" || method == "RUnlock" }
 
 // lockOp recognizes a Lock/Unlock/RLock/RUnlock/TryLock call on a spin or
-// sync mutex and returns a canonical key for the receiver expression,
-// plus the mutex's variable object when it resolves to one.
-func (w *lockWalker) lockOp(call *ast.CallExpr) (kind int, key, method string, obj types.Object, ok bool) {
+// sync mutex and returns a canonical key for the receiver expression.
+func (w *lockWalker) lockOp(call *ast.CallExpr) (kind int, key, method string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return 0, "", "", nil, false
+		return 0, "", "", false
 	}
 	method = sel.Sel.Name
 	switch method {
 	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return 0, "", "", nil, false
+		return 0, "", "", false
 	}
 	kind = mutexKindOf(w.typeOf(sel.X))
 	if kind == mutexNone {
-		return 0, "", "", nil, false
+		return 0, "", "", false
 	}
 	key = exprKey(sel.X)
 	if key == "" {
-		return 0, "", "", nil, false
+		return 0, "", "", false
 	}
-	return kind, key, method, lvalueObj(w.p, sel.X), true
+	return kind, key, method, true
 }
 
 func (w *lockWalker) typeOf(e ast.Expr) types.Type {
