@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test lint gates race-sanitize fault chaos bench benchdiff baseline clean
+.PHONY: check vet build test lint gates race-sanitize fault bench benchdiff baseline clean
 
 ## check: the full verification gate (vet + build + harplint + the
 ## compiler-contract gate + the test suite under race detector *and*
@@ -55,19 +55,9 @@ fault:
 	$(GO) test -race -run 'Flight|Logger' ./internal/obs/
 	$(GO) test -race -run 'Panic|Stop|Fault|Injected' ./internal/sched/
 	$(GO) test -race -run 'Resume|Checkpoint|Cancel|Corrupt' ./internal/boost/
-	$(GO) test -race -run 'Allreduce|Failure|Straggler|Nodes|Ledger|ClusterTrace|Rejoin|MultiNodeDeath|DeathDuringRecovery|Resume|ApplyChaos' ./internal/dist/
+	$(GO) test -race -run 'Allreduce|Nodes|Ledger|ClusterTrace|Resume' ./internal/dist/
 	$(GO) test -race -run 'Reject|Corrupt|Missing' ./internal/dataset/
 	$(GO) test -race -run 'CrashResume|CacheFormat' ./cmd/harpgbdt/
-	$(GO) test -race -run 'Chaos' ./internal/experiments/
-
-## chaos: the deterministic chaos soak — 50 seeded randomized fault
-## schedules against the elastic distributed trainer, each asserting ledger
-## conservation, GHSum conservation, tree equivalence and clean-failure
-## flight dumps; writes chaos.json (fails on any invariant violation, the
-## failing seed is printed with its bit-for-bit replay command)
-chaos:
-	$(GO) run ./cmd/experiments -rows 4000 -dist-nodes 4 \
-		-chaos-n 50 -chaos-dir chaos-work -chaos-out chaos.json chaos
 
 ## bench: run the repo benchmark (BENCHMARK.json: four workloads on real
 ## threads, ten complete sets, about 15 min on 2 cores) and write the
@@ -95,5 +85,4 @@ baseline:
 # clean removes untracked run outputs only: BENCH_baseline.json and the
 # BENCH_<date>_<commit>.json trajectory points are committed files.
 clean:
-	rm -f trace.json efficiency.json comms.json cluster-trace.json chaos.json
-	rm -rf chaos-work
+	rm -f trace.json efficiency.json comms.json cluster-trace.json

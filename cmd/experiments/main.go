@@ -2,7 +2,7 @@
 // plain-text tables. Each experiment is named after the paper artifact it
 // reproduces (fig4, table1, ... fig16); `all` runs every one of them.
 // Beyond the paper artifacts it hosts the studies that run on the virtual
-// machine or the simulated cluster — bench, comms, efficiency, chaos — and
+// machine or the simulated cluster — bench, comms, efficiency — and
 // benchdiff, the structural gate over bench's deterministic counts. It
 // judges no timing: that is the repo benchmark's job (`go run ./benchmark`,
 // `go run ./benchmark compare`; see benchmark/README.md).
@@ -45,11 +45,6 @@ func main() {
 		commsOut   = flag.String("comms-out", "comms.json", "output path of the comms experiment's JSON report")
 		effOut     = flag.String("eff-out", "efficiency.json", "output path of the efficiency experiment's JSON report")
 		baseline   = flag.String("baseline", "BENCH_baseline.json", "benchdiff: committed baseline report to compare against")
-		chaosN     = flag.Int("chaos-n", 0, "chaos: number of seeded scenarios to soak (0 = default 50)")
-		chaosSeed  = flag.Uint64("chaos-seed", 0, "chaos: base seed of the scenario sweep (0 = default 1)")
-		chaosDir   = flag.String("chaos-dir", "chaos-work", "chaos: working directory for per-scenario checkpoints and flight dumps")
-		chaosOut   = flag.String("chaos-out", "chaos.json", "chaos: output path of the soak report")
-		chaosRe    = flag.Uint64("chaos-replay", 0, "chaos: replay exactly this seed instead of the sweep (bit-for-bit)")
 	)
 	flag.Parse()
 	sc := experiments.Scale{
@@ -67,12 +62,6 @@ func main() {
 	cmds = append(cmds,
 		subcommand{"bench", func() error { return runBench(sc, *benchOut) }},
 		subcommand{"benchdiff", func() error { return runBenchDiff(*baseline) }},
-		subcommand{"chaos", func() error {
-			return runChaos(sc, experiments.ChaosConfig{
-				N: *chaosN, BaseSeed: *chaosSeed, Nodes: *distNodes,
-				Dir: *chaosDir, ReplaySeed: *chaosRe,
-			}, *chaosOut)
-		}},
 		subcommand{"comms", func() error { return runComms(sc, *commsOut) }},
 		subcommand{"efficiency", func() error { return runEfficiency(sc, *effOut) }},
 	)
@@ -209,36 +198,6 @@ func runComms(sc experiments.Scale, out string) error {
 		return err
 	}
 	fmt.Printf("comms report written to %s\n", out)
-	return nil
-}
-
-// runChaos soaks the elastic distributed trainer against seeded fault
-// schedules, prints the summary and failing seeds, writes the report, and
-// fails the run on any invariant violation.
-func runChaos(sc experiments.Scale, cc experiments.ChaosConfig, out string) error {
-	rep, err := experiments.Chaos(sc, cc)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.Table().String())
-	for _, s := range rep.Scenarios {
-		if len(s.Violations) == 0 {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "chaos FAIL seed %d (%s):\n", s.Seed, s.Schedule)
-		for _, v := range s.Violations {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "  replay with: experiments -dist-nodes %d -chaos-replay %d -chaos-dir %s chaos\n",
-			rep.Nodes, s.Seed, cc.Dir)
-	}
-	if err := rep.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("chaos report written to %s (artifacts under %s)\n", out, cc.Dir)
-	if rep.Violations > 0 {
-		return fmt.Errorf("%d of %d chaos scenarios violated invariants", rep.Violations, len(rep.Scenarios))
-	}
 	return nil
 }
 

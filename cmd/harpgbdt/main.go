@@ -136,8 +136,6 @@ func cmdTrain(args []string) error {
 		nb        = fs.Int("node-blk", 32, "node block size (harp engine)")
 		workers   = fs.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
 		distNodes = fs.Int("dist-nodes", 0, "train on the simulated distributed cluster with this many nodes (0 = single-node engine; pinned into checkpoints)")
-		rejoinAft = fs.Int("rejoin-after", 0, "with -dist-nodes: automatically readmit a dead node after it sat out this many rounds (0 = no automatic readmission)")
-		failBudg  = fs.Int("failure-budget", 0, "with -dist-nodes: node deaths tolerated before a clean abort (0 = nodes-1, negative = none)")
 		virtual   = fs.Bool("virtual", false, "run on the simulated 32-worker parallel machine")
 		evalEvery = fs.Int("eval-every", 10, "print train AUC every N trees (0 = never)")
 		traceOut  = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file")
@@ -225,11 +223,10 @@ func cmdTrain(args []string) error {
 	}
 	var builder harpgbdt.Builder
 	if *distNodes > 0 {
-		// The elastic simulated cluster: deaths walk the degradation ladder,
-		// checkpoints (via -checkpoint-dir) back node readmissions.
+		// The simulated cluster: an allreduce step that exhausts its retries
+		// aborts training, and the last checkpoint is the resume point.
 		builder, err = harpgbdt.NewDistTrainer(harpgbdt.DistConfig{
 			Nodes: *distNodes, WorkersPerNode: *workers, TreeSize: *d, K: *k,
-			RejoinAfterRounds: *rejoinAft, FailureBudget: *failBudg,
 		}, ds)
 	} else {
 		builder, err = harpgbdt.NewBuilder(opts, ds)

@@ -234,24 +234,18 @@ func Train(b engine.Builder, ds *dataset.Dataset, cfg Config, testX *dataset.Den
 	if subsampling {
 		rng = synth.NewRNG(cfg.Seed ^ 0x42535453)
 	}
-	// The elastic-cluster bridge: a cluster-sized builder pins its node
-	// count into every checkpoint (resume rejects a mismatch), and a
-	// checkpoint-observing builder learns where the durable artifact lives
-	// so readmitted nodes can restore from it.
+	// A cluster-sized builder pins its node count into every checkpoint:
+	// resume rejects a mismatch.
 	distNodes := 0
 	if cs, ok := b.(engine.ClusterSized); ok {
 		distNodes = cs.ClusterNodes()
 	}
-	ckptObserver, _ := b.(engine.CheckpointObserver)
 	st := &trainState{margins: margins, bestMetric: math.Inf(-1), res: res}
 	if ck, err := maybeResume(cfg); err != nil {
 		return nil, err
 	} else if ck != nil {
 		if model, err = st.restore(ck, cfg, n, ds.NumFeatures(), distNodes); err != nil {
 			return nil, err
-		}
-		if ckptObserver != nil {
-			ckptObserver.ObserveCheckpoint(CheckpointPath(cfg.CheckpointDir), st.round)
 		}
 		margins = st.margins
 		if rng != nil {
@@ -426,9 +420,6 @@ func Train(b engine.Builder, ds *dataset.Dataset, cfg Config, testX *dataset.Den
 			}
 			if err := SaveCheckpoint(CheckpointPath(cfg.CheckpointDir), st.snapshot(model, rngState, distNodes)); err != nil {
 				return nil, fmt.Errorf("boost: checkpoint after round %d: %w", round+1, err)
-			}
-			if ckptObserver != nil {
-				ckptObserver.ObserveCheckpoint(CheckpointPath(cfg.CheckpointDir), st.round)
 			}
 			lg.Debug("checkpoint saved", obs.KeyRound, round+1)
 		}

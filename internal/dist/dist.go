@@ -21,7 +21,6 @@ import (
 
 	"harpgbdt/internal/dataset"
 	"harpgbdt/internal/engine"
-	"harpgbdt/internal/fault"
 	"harpgbdt/internal/gh"
 	"harpgbdt/internal/grow"
 	"harpgbdt/internal/histogram"
@@ -50,37 +49,6 @@ type Config struct {
 	MaxDepth int
 	// Params are the split hyper-parameters.
 	Params tree.SplitParams
-
-	// StragglerFactor > 1 slows StragglerNode's compute by that factor
-	// (straggler simulation; <= 1 disables).
-	StragglerFactor float64
-	// StragglerNode is the index of the straggling node.
-	StragglerNode int
-	// MaxRetries bounds allreduce retries after an injected failure before
-	// FailNode is declared dead (default 2; negative retries nothing, the
-	// first failure kills the node).
-	MaxRetries int
-	// StepTimeoutMicros is the simulated timeout charged per failed
-	// allreduce attempt (default 5000).
-	StepTimeoutMicros float64
-	// RetryBackoffMicros is the base of the exponential backoff between
-	// allreduce retries (default 100).
-	RetryBackoffMicros float64
-	// FailNode is the node declared dead when allreduce retries are
-	// exhausted (default 0; if already dead, the next alive node fails).
-	FailNode int
-	// FailureBudget bounds how many node deaths the cluster tolerates over
-	// a run before aborting cleanly (the degradation ladder's budget).
-	// 0 defaults to Nodes-1 — degrade as long as any node survives;
-	// negative tolerates no deaths at all.
-	FailureBudget int
-	// RejoinAfterRounds, when > 0, automatically readmits a dead node once
-	// it has sat out that many rounds: the node restores its state from the
-	// last checkpoint the boosting loop reported (ObserveCheckpoint) plus a
-	// peer replica of its raw shard, with the restore charged to the
-	// virtual clock, and takes its original shard back. 0 disables
-	// automatic readmission (explicit Readmit/chaos rejoins still work).
-	RejoinAfterRounds int
 }
 
 func (c Config) withDefaults() Config {
@@ -102,20 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 32
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.StepTimeoutMicros == 0 {
-		c.StepTimeoutMicros = 5000
-	}
-	if c.RetryBackoffMicros == 0 {
-		c.RetryBackoffMicros = 100
-	}
-	if c.FailureBudget == 0 {
-		c.FailureBudget = c.Nodes - 1
-	} else if c.FailureBudget < 0 {
-		c.FailureBudget = 0
-	}
 	if c.Params == (tree.SplitParams{}) {
 		c.Params = tree.DefaultSplitParams()
 	}
@@ -133,20 +87,11 @@ func (c Config) Validate() error {
 	if c.BandwidthMBps < 0 || c.LatencyMicros < 0 {
 		return fmt.Errorf("dist: negative network parameters")
 	}
-	if c.StepTimeoutMicros < 0 || c.RetryBackoffMicros < 0 {
-		return fmt.Errorf("dist: negative retry parameters")
+	if c.WorkersPerNode < 0 {
+		return fmt.Errorf("dist: negative workers per node %d", c.WorkersPerNode)
 	}
-	if c.StragglerFactor < 0 {
-		return fmt.Errorf("dist: negative straggler factor %g", c.StragglerFactor)
-	}
-	if c.RejoinAfterRounds < 0 {
-		return fmt.Errorf("dist: negative rejoin-after-rounds %d", c.RejoinAfterRounds)
-	}
-	if c.Nodes > 0 && (c.FailNode < 0 || c.FailNode >= c.Nodes) {
-		return fmt.Errorf("dist: fail node %d out of range [0, %d)", c.FailNode, c.Nodes)
-	}
-	if c.Nodes > 0 && (c.StragglerNode < 0 || c.StragglerNode >= c.Nodes) {
-		return fmt.Errorf("dist: straggler node %d out of range [0, %d)", c.StragglerNode, c.Nodes)
+	if c.K < 0 {
+		return fmt.Errorf("dist: negative batch size K %d", c.K)
 	}
 	return nil
 }
@@ -174,37 +119,10 @@ type Trainer struct {
 	prof   *profile.Breakdown
 	shards []shard
 
-	// alive[i] reports whether cluster node i is still up; owner[s] is the
-	// node currently responsible for shard s (re-owned on node failure,
-	// handed back on readmission).
-	alive []bool
-	owner []int
-
-	// Degradation-ladder state: deadRound[i] is the 1-based round node i
-	// died in (0 = alive), deaths counts deaths against cfg.FailureBudget.
-	deadRound []int
-	deaths    int
-
-	// Checkpoint bridge (engine.CheckpointObserver): the last durable
-	// checkpoint the boosting loop reported; rejoining nodes restore from
-	// it. ckptRound is the completed round the artifact holds.
-	ckptPath  string
-	ckptRound int
-
-	// chaos is the armed fault schedule (ApplyChaos), applied at the start
-	// of each round; stragFactor/stragUntil carry chaos-driven dynamic
-	// straggler slowdowns (factor > 1 applies through round stragUntil).
-	chaos       *fault.Schedule
-	stragFactor []float64
-	stragUntil  []int
-
 	// commNanos accumulates simulated allreduce time; retryNanos the time
-	// lost to allreduce timeouts/backoff; recoveryNanos the re-sharding
-	// cost of node failures; rejoinNanos the restore cost of readmissions.
-	commNanos     int64
-	retryNanos    int64
-	recoveryNanos int64
-	rejoinNanos   int64
+	// lost to allreduce timeouts and backoff.
+	commNanos  int64
+	retryNanos int64
 
 	// ledger accounts every simulated message (see ledger.go); clock is the
 	// per-node virtual timeline the trace lanes are drawn on; flowSeq
@@ -250,14 +168,9 @@ func NewTrainer(cfg Config, ds *dataset.Dataset) (*Trainer, error) {
 			hi = int32(n)
 		}
 		t.shards = append(t.shards, shard{lo, hi})
-		t.alive = append(t.alive, true)
-		t.owner = append(t.owner, i)
 	}
 	t.ledger = newCommsLedger(cfg.Nodes)
 	t.clock = make([]int64, cfg.Nodes)
-	t.deadRound = make([]int, cfg.Nodes)
-	t.stragFactor = make([]float64, cfg.Nodes)
-	t.stragUntil = make([]int, cfg.Nodes)
 	return t, nil
 }
 
@@ -273,10 +186,15 @@ func (t *Trainer) Profile() *profile.Breakdown { return t.prof }
 // CommNanos reports the accumulated simulated allreduce time.
 func (t *Trainer) CommNanos() int64 { return t.commNanos }
 
-// allreduceNanos models one ring allreduce of `bytes` across the alive
-// nodes: 2(N-1)/N * bytes through the bandwidth plus 2(N-1) latency hops.
+// ClusterNodes implements engine.ClusterSized: the boosting loop pins the
+// cluster size into its checkpoints so a resume with a different sharding
+// is rejected.
+func (t *Trainer) ClusterNodes() int { return t.cfg.Nodes }
+
+// allreduceNanos models one ring allreduce of `bytes` across the cluster:
+// 2(N-1)/N * bytes through the bandwidth plus 2(N-1) latency hops.
 func (t *Trainer) allreduceNanos(bytes int64) int64 {
-	n := float64(t.AliveNodes())
+	n := float64(t.cfg.Nodes)
 	if n <= 1 {
 		return 0
 	}
@@ -320,12 +238,7 @@ func (t *Trainer) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 	t.ledger.beginRound()
 	t.nameLanes()
 	obs.L().Debug("dist round start",
-		obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, "alive", t.AliveNodes())
-	// Elastic membership: fire this round's chaos events and readmit nodes
-	// whose rejoin wait elapsed, before any collective step.
-	if err := t.beginRoundElastic(); err != nil {
-		return nil, err
-	}
+		obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, "nodes", t.cfg.Nodes)
 	n := t.ds.NumRows()
 	rootRows := make([][]int32, len(t.shards))
 	var rootSum gh.Pair
@@ -404,9 +317,9 @@ func (t *Trainer) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 }
 
 // buildHists computes every listed node's global histogram: per cluster
-// node local accumulation (compute simulated: the slowest alive node
-// bounds the step), followed by one ring allreduce of the batch's
-// histograms with timeout/retry/failover semantics (allreduceWithRetry).
+// node local accumulation (compute simulated: the slowest node bounds the
+// step), followed by one ring allreduce of the batch's histograms with
+// deadline/retry/abort semantics (allreduceWithRetry).
 func (t *Trainer) buildHists(st *distBuild, ids []int32) error {
 	if len(ids) == 0 {
 		return nil
@@ -414,9 +327,9 @@ func (t *Trainer) buildHists(st *distBuild, ids []int32) error {
 	tm := profile.StartTimer()
 	bm := t.ds.Binned
 	m := t.ds.NumFeatures()
-	// Local phase: measure each shard's compute serially, accumulate per
-	// owning node (a survivor carries the shards it adopted from the dead).
-	perOwner := make([]int64, len(t.shards))
+	// Local phase: measure each shard's compute serially; shard s is
+	// cluster node s.
+	perNode := make([]int64, len(t.shards))
 	var serial int64
 	for s := range t.shards {
 		t0 := profile.StartTimer()
@@ -430,10 +343,10 @@ func (t *Trainer) buildHists(st *distBuild, ids []int32) error {
 		}
 		d := t0.Elapsed().Nanoseconds()
 		serial += d
-		perOwner[t.owner[s]] += d
+		perNode[s] = d
 	}
 	// Within a node, WorkersPerNode threads share the shard work.
-	walls := t.nodeWalls(perOwner, int64(t.cfg.WorkersPerNode))
+	walls := nodeWalls(perNode, int64(t.cfg.WorkersPerNode))
 	maxNode := t.advancePhase("build-hist", walls)
 	// Histograms were accumulated directly into the shared Hist (the sum a
 	// real allreduce would produce); charge the simulated network cost.
@@ -445,7 +358,7 @@ func (t *Trainer) buildHists(st *distBuild, ids []int32) error {
 	t.commNanos += comm
 	wall := maxNode + comm
 	t.pool.RecordExternalRegion(int64(len(ids)*len(t.shards)), serial,
-		maxNode*int64(t.AliveNodes()), 0, wall)
+		maxNode*int64(t.cfg.Nodes), 0, wall)
 	t.prof.Add(profile.BuildHist, tm.Elapsed())
 	return nil
 }
@@ -468,11 +381,9 @@ func (t *Trainer) findSplits(st *distBuild, ids []int32) {
 	if wall < 1 {
 		wall = 1
 	}
-	walls := make([]int64, len(t.alive))
-	for node, a := range t.alive {
-		if a {
-			walls[node] = wall
-		}
+	walls := make([]int64, t.cfg.Nodes)
+	for node := range walls {
+		walls[node] = wall
 	}
 	t.advancePhase("find-split", walls)
 	t.pool.RecordExternalRegion(int64(len(ids)), serial, serial, 0, wall)
@@ -489,7 +400,7 @@ func (t *Trainer) applySplit(st *distBuild, id int32) (int32, int32) {
 	goLeft := engine.GoLeftFunc(t.ds.Binned, s)
 	left := &nodeState{rows: make([][]int32, len(t.shards)), sum: gh.Pair{G: s.LeftG, H: s.LeftH}, split: tree.InvalidSplit()}
 	right := &nodeState{rows: make([][]int32, len(t.shards)), sum: gh.Pair{G: s.RightG, H: s.RightH}, split: tree.InvalidSplit()}
-	perOwner := make([]int64, len(t.shards))
+	perNode := make([]int64, len(t.shards))
 	var serial int64
 	for sh := range t.shards {
 		t0 := profile.StartTimer()
@@ -502,11 +413,11 @@ func (t *Trainer) applySplit(st *distBuild, id int32) (int32, int32) {
 		}
 		d := t0.Elapsed().Nanoseconds()
 		serial += d
-		perOwner[t.owner[sh]] += d
+		perNode[sh] = d
 	}
-	// Shards partition concurrently, one group per owning cluster node.
+	// Shards partition concurrently, one per cluster node.
 	t.pool.RecordExternalRegion(int64(len(t.shards)), serial, serial, 0,
-		max64(t.advancePhase("apply-split", t.nodeWalls(perOwner, 1)), 1))
+		max64(t.advancePhase("apply-split", nodeWalls(perNode, 1)), 1))
 	left.count = int32(left.totalRows())
 	right.count = int32(right.totalRows())
 	ns.rows = nil
@@ -545,6 +456,16 @@ func (t *Trainer) releaseHist(ns *nodeState) {
 		t.hpool.Put(ns.hist)
 		ns.hist = nil
 	}
+}
+
+// nodeWalls turns per-node serial compute times into each node's simulated
+// parallel phase time: a node divides its load across `workers` threads.
+func nodeWalls(perNode []int64, workers int64) []int64 {
+	walls := make([]int64, len(perNode))
+	for node, d := range perNode {
+		walls[node] = d / workers
+	}
+	return walls
 }
 
 func max64(a, b int64) int64 {

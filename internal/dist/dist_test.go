@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"harpgbdt/internal/boost"
@@ -34,6 +37,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := (Config{BandwidthMBps: -1}).Validate(); err == nil {
 		t.Fatal("negative bandwidth accepted")
+	}
+	// A batch size below zero pops the whole queue (grow.Queue.PopBatch),
+	// so the tree would outgrow its leaf budget.
+	if err := (Config{K: -1}).Validate(); err == nil {
+		t.Fatal("negative K accepted")
+	}
+	if err := (Config{WorkersPerNode: -1}).Validate(); err == nil {
+		t.Fatal("negative workers per node accepted")
 	}
 	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 2, Features: 2, Seed: 1}, 8)
 	if err != nil {
@@ -192,5 +203,65 @@ func TestBadGradients(t *testing.T) {
 	}
 	if _, err := dt.BuildTree(gh.NewBuffer(5)); err == nil {
 		t.Fatal("wrong gradient length accepted")
+	}
+}
+
+// TestResumeRejectsClusterSizeMismatch: a checkpoint written by a 3-node
+// cluster refuses to resume on a 4-node cluster (and on a matching cluster
+// the resumed run finishes identical to the uninterrupted one).
+func TestResumeRejectsClusterSizeMismatch(t *testing.T) {
+	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 2000, Features: 8, Seed: 51}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterConfig := func(nodes int) Config {
+		return Config{Nodes: nodes, TreeSize: 5, K: 8, Params: tree.DefaultSplitParams()}
+	}
+	dir := t.TempDir()
+	dt, err := NewTrainer(clusterConfig(3), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := boost.Train(dt, ds, boost.Config{
+		Rounds: 3, CheckpointDir: dir, CheckpointEvery: 1,
+	}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	wrong, err := NewTrainer(clusterConfig(4), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = boost.Train(wrong, ds, boost.Config{
+		Rounds: 6, CheckpointDir: dir, Resume: true,
+	}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "3-node cluster, resuming with 4") {
+		t.Fatalf("want cluster-size mismatch error, got %v", err)
+	}
+
+	// Positive control: resuming with the matching cluster size finishes
+	// with the exact model of an uninterrupted 6-round run.
+	same, err := NewTrainer(clusterConfig(3), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := boost.Train(same, ds, boost.Config{
+		Rounds: 6, CheckpointDir: dir, Resume: true,
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewTrainer(clusterConfig(3), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRes, err := boost.Train(full, ds, boost.Config{Rounds: 6}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(fullRes.Model)
+	got, _ := json.Marshal(resumed.Model)
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed cluster model differs from uninterrupted run")
 	}
 }

@@ -1,229 +1,99 @@
 package dist
 
-// The degradation ladder: the simulated cluster's explicit failure policy.
-// Every allreduce step walks the same ordered rungs, each transition
-// logged via obs.Logger and counted in the comms ledger:
+// The failure policy of the simulated cluster: retry, then abort. Every
+// allreduce step walks the same path, each transition logged via
+// obs.Logger and counted in the comms ledger:
 //
-//	healthy ──deadline exceeded──▶ deadline (timeout charged, ledger Deadlines)
+//	healthy ──attempt failed──▶ deadline (timeout charged, ledger Deadlines)
 //	deadline ──attempts left──▶ retry (exponential backoff, bytes RETRANSMITTED)
-//	deadline ──retries exhausted──▶ re-own (node death, bytes LOST, shards
-//	        re-owned round-robin by survivors, recovery bytes re-replicated)
-//	re-own ──budget exceeded / all dead──▶ clean abort (training error)
-//	re-own ──rejoin wait elapsed──▶ readmit (checkpoint-backed restore,
-//	        shards handed back; see rejoin.go)
+//	deadline ──retries exhausted──▶ abort (bytes LOST, BuildTree errors)
 //
-// Deaths are governed by Config.FailureBudget: once more nodes have died
-// than the budget tolerates, the cluster aborts with a clean error instead
-// of degrading forever. The ladder only ever changes membership and the
-// simulated timeline — histogram sums never depended on the sharding, so
-// every run that completes is bit-identical to the no-failure run.
+// An abort ends training: boost.Train dumps the flight recorder and the
+// last checkpoint is the resume point. Membership never changes, so every
+// run that completes is bit-identical to the no-failure run.
 
 import (
 	"fmt"
-	"time"
 
 	"harpgbdt/internal/fault"
 	"harpgbdt/internal/obs"
-	"harpgbdt/internal/profile"
+)
+
+// The retry budget of one allreduce step, in simulated time.
+const (
+	// maxRetries bounds the retries after a failed attempt; the attempt
+	// after the last retry that fails aborts the step.
+	maxRetries = 2
+	// stepTimeoutMicros is the deadline charged per failed attempt.
+	stepTimeoutMicros = 5000
+	// retryBackoffMicros is the base of the exponential backoff between
+	// retries.
+	retryBackoffMicros = 100
 )
 
 var (
 	mAllreduceRetries = obs.DefaultRegistry().Counter("dist_allreduce_retries_total",
 		"Simulated allreduce steps retried after an injected failure")
-	mNodeFailures = obs.DefaultRegistry().Counter("dist_node_failures_total",
-		"Simulated cluster nodes declared dead")
-	mRowsResharded = obs.DefaultRegistry().Counter("dist_rows_resharded_total",
-		"Rows re-owned by surviving nodes after a node failure")
 	mDeadlines = obs.DefaultRegistry().Counter("dist_step_deadlines_total",
 		"Simulated allreduce attempts that exceeded the per-step deadline")
 )
 
-// Registered injection points of the ladder: the collective step itself
-// and the restore path of a readmission (death-during-recovery).
-var (
-	pointAllreduce = fault.RegisterPoint("dist.allreduce",
-		"fires once per simulated allreduce attempt")
-	pointRejoin = fault.RegisterPoint("dist.rejoin",
-		"fires once per node-readmission restore attempt")
-)
-
-// AliveNodes reports how many simulated cluster nodes are still alive.
-func (t *Trainer) AliveNodes() int {
-	n := 0
-	for _, a := range t.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
+// pointAllreduce is the collective step's injection point.
+var pointAllreduce = fault.RegisterPoint("dist.allreduce",
+	"fires once per simulated allreduce attempt")
 
 // RetryNanos reports the simulated time lost to allreduce timeouts and
 // retry backoff.
 func (t *Trainer) RetryNanos() int64 { return t.retryNanos }
 
-// RecoveryNanos reports the simulated time spent re-sharding dead nodes'
-// data onto survivors.
-func (t *Trainer) RecoveryNanos() int64 { return t.recoveryNanos }
-
-// allreduceWithRetry performs one simulated allreduce of `bytes`,
-// walking the degradation ladder: every attempt consults the
-// "dist.allreduce" injection point; a failure is a deadline expiry costing
-// the step timeout; retries back off exponentially up to MaxRetries;
-// exhausting them escalates to the re-own rung (Config.FailNode dies) and
-// the step completes on the survivors. Every attempt is accounted in the
-// comms ledger (categorized by its outcome) and the completed step is
-// drawn on the per-node trace lanes. Returns the simulated nanoseconds
-// the step took.
+// allreduceWithRetry performs one simulated allreduce of `bytes` under the
+// failure policy: every attempt consults the "dist.allreduce" injection
+// point; a failure is a deadline expiry costing the step timeout; retries
+// back off exponentially up to maxRetries; exhausting them books the last
+// attempt's bytes LOST and returns an error. Every attempt is accounted in
+// the comms ledger (categorized by its outcome) and the step is drawn on
+// the per-node trace lanes. Returns the simulated nanoseconds the step
+// took.
 func (t *Trainer) allreduceWithRetry(bytes int64) (int64, error) {
 	var spent int64
-	timeout := int64(t.cfg.StepTimeoutMicros * 1e3)
-	backoff := int64(t.cfg.RetryBackoffMicros * 1e3)
+	const timeout = int64(stepTimeoutMicros * 1e3)
+	const backoff = int64(retryBackoffMicros * 1e3)
 	base := t.barrierClock()
 	for attempt := 0; ; attempt++ {
-		if err := fault.Point(pointAllreduce); err == nil {
+		err := fault.Point(pointAllreduce)
+		if err == nil {
 			lat := t.allreduceNanos(bytes)
-			t.ledger.recordAttempt(t.alive, bytes, attempt, attemptDelivered)
+			t.ledger.recordAttempt(bytes, attempt, attemptDelivered)
 			t.ledger.recordStep(spent + lat)
 			t.traceAllreduce(base, spent, lat, bytes, attempt+1)
 			t.alignClocks(base, spent+lat)
 			return spent + lat, nil
 		}
-		// Rung 1, deadline: the attempt did not complete within the per-step
+		// Deadline: the attempt did not complete within the per-step
 		// deadline; the timeout is charged to the virtual clock.
 		spent += timeout
 		t.ledger.deadlines++
 		mDeadlines.Inc()
-		obs.L().Warn("dist ladder: step deadline exceeded",
-			obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round,
-			"rung", "deadline", "attempt", attempt)
-		if attempt >= t.cfg.MaxRetries {
-			// Rung 3, re-own: retries exhausted. The failed attempt's payload
-			// is lost, the configured node is declared dead, and the step
-			// completes among the survivors (whose final send is what gets
-			// delivered).
-			t.ledger.recordAttempt(t.alive, bytes, attempt, attemptLost)
+		obs.L().Warn("dist: step deadline exceeded",
+			obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, "attempt", attempt)
+		if attempt >= maxRetries {
+			// Abort: no retry recovers the failed attempt's payload.
+			t.ledger.recordAttempt(bytes, attempt, attemptLost)
 			t.traceStall(base, spent)
-			if err := t.failNode(t.cfg.FailNode, base+spent); err != nil {
-				return 0, err
-			}
-			lat := t.allreduceNanos(bytes)
-			t.ledger.recordAttempt(t.alive, bytes, attempt+1, attemptDelivered)
-			t.ledger.recordStep(spent + lat)
-			// failNode aligned the survivors' clocks past the recovery
-			// window; the final transfer runs from there.
-			b2 := t.barrierClock()
-			t.traceAllreduce(b2, 0, lat, bytes, attempt+2)
-			t.alignClocks(b2, lat)
-			return spent + lat, nil
+			t.alignClocks(base, spent)
+			obs.L().Error("dist: allreduce retries exhausted",
+				obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, "attempts", attempt+1)
+			return 0, fmt.Errorf("dist: allreduce failed after %d attempts: %w", attempt+1, err)
 		}
-		// Rung 2, retry: the failed attempt's payload will be sent again —
+		// Retry: the failed attempt's payload will be sent again —
 		// retransmitted — after exponential backoff.
-		t.ledger.recordAttempt(t.alive, bytes, attempt, attemptRetransmitted)
+		t.ledger.recordAttempt(bytes, attempt, attemptRetransmitted)
 		mAllreduceRetries.Inc()
 		d := backoff << attempt
 		spent += d
 		t.retryNanos += timeout + d
-		obs.L().Info("dist ladder: retrying step",
+		obs.L().Info("dist: retrying step",
 			obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round,
-			"rung", "retry", "attempt", attempt, "backoff_nanos", d)
+			"attempt", attempt, "backoff_nanos", d)
 	}
-}
-
-// failNode is the ladder's re-own rung: it declares a cluster node dead at
-// virtual time ts and re-owns its shards onto the survivors — unless the
-// failure budget is exhausted or no quorum of survivors remains, in which
-// case training aborts with a clean error.
-func (t *Trainer) failNode(node int, ts int64) error {
-	if sp := obs.StartSpan("dist", "recover-node"); sp.Active() {
-		defer sp.End()
-	}
-	if node < 0 || node >= len(t.alive) {
-		node = 0
-	}
-	if !t.alive[node] {
-		// The configured victim already died in an earlier step; the next
-		// alive node fails instead.
-		node = -1
-		for i, a := range t.alive {
-			if a {
-				node = i
-				break
-			}
-		}
-	}
-	if node < 0 || t.AliveNodes() <= 1 {
-		return fmt.Errorf("dist: all %d nodes failed, cannot continue", t.cfg.Nodes)
-	}
-	if t.deaths+1 > t.cfg.FailureBudget {
-		obs.L().Error("dist ladder: failure budget exhausted",
-			obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, obs.KeyNode, node,
-			"deaths", t.deaths+1, "budget", t.cfg.FailureBudget)
-		return fmt.Errorf("dist: failure budget exhausted: %d node deaths exceed budget %d",
-			t.deaths+1, t.cfg.FailureBudget)
-	}
-	t.alive[node] = false
-	t.deaths++
-	t.deadRound[node] = t.ledger.round
-	t.ledger.failures++
-	mNodeFailures.Inc()
-	obs.InstantAt("dist-node", "node-death", nodePID(node), 0, ts)
-	obs.L().Warn("dist node died",
-		obs.KeyComponent, "dist", obs.KeyRound, t.ledger.round, obs.KeyNode, node,
-		"rung", "reown", "deaths", t.deaths, "budget", t.cfg.FailureBudget)
-
-	survivors := make([]int, 0, len(t.alive))
-	for i, a := range t.alive {
-		if a {
-			survivors = append(survivors, i)
-		}
-	}
-	rows, next := 0, 0
-	for s := range t.shards {
-		if t.owner[s] != node {
-			continue
-		}
-		t.owner[s] = survivors[next%len(survivors)]
-		next++
-		rows += int(t.shards[s].hi - t.shards[s].lo)
-	}
-	mRowsResharded.Add(int64(rows))
-
-	// Recovery cost: survivors re-read the dead node's raw shard (one
-	// binned byte per feature plus label and row id per row) from its
-	// replica, through the same link model the allreduce uses.
-	bytes := int64(rows) * int64(t.ds.NumFeatures()+12)
-	rec := int64(float64(bytes)/(t.cfg.BandwidthMBps*1e6)*1e9) +
-		int64(t.cfg.LatencyMicros*1e3)
-	t.recoveryNanos += rec
-	// The survivors spend the recovery window re-reading the dead node's
-	// shard: a visible span on each survivor's lane.
-	for _, s := range survivors {
-		obs.SpanAt("dist-node", "recover-shards", nodePID(s), 0, ts, rec)
-	}
-	t.alignClocks(ts, rec)
-	t.pool.RecordExternalRegion(1, 0, rec, 0, rec)
-	t.prof.Add(profile.Other, time.Duration(rec))
-	return nil
-}
-
-// nodeWalls turns per-owner serial compute times into each alive node's
-// simulated parallel phase time: a node divides its load across `workers`
-// threads, and stragglers (static configuration or chaos-driven) run
-// their slowdown factor slower.
-func (t *Trainer) nodeWalls(perOwner []int64, workers int64) []int64 {
-	walls := make([]int64, len(perOwner))
-	for node, d := range perOwner {
-		if d == 0 || !t.alive[node] {
-			continue
-		}
-		if t.cfg.StragglerFactor > 1 && node == t.cfg.StragglerNode {
-			d = int64(float64(d) * t.cfg.StragglerFactor)
-		}
-		if t.stragFactor[node] > 1 && t.ledger.round <= t.stragUntil[node] {
-			d = int64(float64(d) * t.stragFactor[node])
-		}
-		walls[node] = d / workers
-	}
-	return walls
 }

@@ -1,17 +1,20 @@
 package dist
 
-// Failure-injection tests: the simulated cluster retries failed allreduce
-// steps, survives a node death by re-sharding onto the survivors with a
-// visible recovery cost, and still produces the exact single-node tree.
+// Failure-policy tests: the simulated cluster retries failed allreduce
+// steps at a visible simulated cost, and a step that exhausts its retries
+// aborts training cleanly — LOST bytes in the ledger, a flight dump, and a
+// checkpoint that holds the exact fault-free prefix.
 
 import (
-	"strings"
+	"bytes"
+	"encoding/json"
+	"math"
+	"path/filepath"
 	"testing"
 
-	"harpgbdt/internal/core"
+	"harpgbdt/internal/boost"
 	"harpgbdt/internal/fault"
-	"harpgbdt/internal/grow"
-	"harpgbdt/internal/profile"
+	"harpgbdt/internal/obs"
 	"harpgbdt/internal/synth"
 	"harpgbdt/internal/tree"
 )
@@ -26,140 +29,94 @@ func TestAllreduceRetrySurvivesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two transient failures: within the default retry budget (2), so no
-	// node dies, but the retries cost simulated time.
+	// Two transient failures: within the retry budget (2), so the step
+	// completes, but the retries cost simulated time.
 	fault.Enable("dist.allreduce", fault.Fault{Kind: fault.Error, Times: 2})
 	defer fault.Reset()
 	if _, err := dt.BuildTree(grad); err != nil {
 		t.Fatal(err)
 	}
-	if dt.AliveNodes() != 4 {
-		t.Fatalf("transient failure killed a node: %d alive", dt.AliveNodes())
+	if lost := dt.CommsReport().Totals.LostBytes; lost != 0 {
+		t.Fatalf("transient failure lost %d bytes", lost)
 	}
 	if dt.RetryNanos() <= 0 {
 		t.Fatal("retries cost no simulated time")
 	}
-	if dt.RecoveryNanos() != 0 {
-		t.Fatal("recovery charged without a node failure")
-	}
 }
 
-func TestNodeFailureDegradesGracefully(t *testing.T) {
-	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 3000, Features: 10, Seed: 31}, 32)
+// TestAllreduceExhaustedAbortsCleanly is the clean-abort pin: the first
+// allreduce step of round 3 fails on every attempt. Training must stop
+// with an error after exactly three attempts, leave a readable flight
+// dump, keep the round-2 checkpoint byte-identical to a fault-free 2-round
+// run, and book one attempt's payload LOST on every node.
+func TestAllreduceExhaustedAbortsCleanly(t *testing.T) {
+	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 2000, Features: 8, Seed: 51}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := dyadicGradients(3000, 41)
-	params := tree.DefaultSplitParams()
-	ref, err := core.NewBuilder(core.Config{Mode: core.Sync, K: 8, Growth: grow.Leafwise,
-		TreeSize: 6, Params: params}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBT, err := ref.BuildTree(grad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt, err := NewTrainer(Config{Nodes: 4, TreeSize: 6, K: 8, FailNode: 1, Params: params}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Persistent failures on one step: timeout, 2 retries, then node 1 is
-	// declared dead (4 fires consumed), and the cluster continues on 3.
-	fault.Enable("dist.allreduce", fault.Fault{Kind: fault.Error, Times: 4})
+	cfg := Config{Nodes: 3, TreeSize: 5, K: 8, Params: tree.DefaultSplitParams()}
 	defer fault.Reset()
-	other0 := dt.Profile().Nanos(profile.Other)
-	bt, err := dt.BuildTree(grad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt.AliveNodes() != 3 {
-		t.Fatalf("%d nodes alive, want 3", dt.AliveNodes())
-	}
-	if !treesEquivalent(refBT.Tree, bt.Tree) {
-		t.Fatal("tree after node failure differs from single-node tree")
-	}
-	if dt.RecoveryNanos() <= 0 {
-		t.Fatal("node failure charged no recovery time")
-	}
-	if dt.Profile().Nanos(profile.Other) <= other0 {
-		t.Fatal("recovery cost not visible in the profile breakdown")
-	}
-	// The dead node owns nothing; every shard's owner is alive.
-	for s, o := range dt.owner {
-		if o == 1 {
-			t.Fatalf("shard %d still owned by dead node 1", s)
-		}
-		if !dt.alive[o] {
-			t.Fatalf("shard %d owned by dead node %d", s, o)
-		}
-	}
-	// The next tree trains on the survivors without further drama.
-	if _, err := dt.BuildTree(grad); err != nil {
-		t.Fatal(err)
-	}
-	if dt.AliveNodes() != 3 {
-		t.Fatal("second tree changed cluster membership")
-	}
-}
 
-func TestAllNodesDeadErrors(t *testing.T) {
-	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 500, Features: 4, Seed: 55}, 16)
+	// The fault-free reference: arm the point so it counts calls but never
+	// fires.
+	fault.Enable("dist.allreduce", fault.Fault{Kind: fault.Error, After: math.MaxInt64})
+	ref, err := NewTrainer(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := dyadicGradients(500, 57)
-	dt, err := NewTrainer(Config{Nodes: 2, TreeSize: 4, MaxRetries: -1,
-		Params: tree.DefaultSplitParams()}, ds)
+	refRes, err := boost.Train(ref, ds, boost.Config{Rounds: 2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every allreduce fails, no retries: node 0 dies on the first step; on
-	// a later step the cluster is down to one node and must error out
-	// rather than pretend to be distributed.
-	fault.Enable("dist.allreduce", fault.Fault{Kind: fault.Error})
-	defer fault.Reset()
-	_, err = dt.BuildTree(grad)
-	if err == nil || !strings.Contains(err.Error(), "nodes failed") {
-		t.Fatalf("want all-nodes-failed error, got %v", err)
-	}
-}
+	steps := fault.Calls("dist.allreduce")
+	fault.Reset()
 
-func TestStragglerSlowsCluster(t *testing.T) {
-	ds, err := synth.Make(synth.Config{Spec: synth.SynSet, Rows: 4000, Features: 16, Seed: 35}, 64)
+	dir := t.TempDir()
+	flightPath := filepath.Join(dir, "flight.json")
+	obs.ArmFlightRecorder(flightPath, 0)
+	defer obs.ArmFlightRecorder("", 0)
+	fault.Enable("dist.allreduce", fault.Fault{Kind: fault.Error, After: steps})
+	dt, err := NewTrainer(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := dyadicGradients(4000, 45)
-	vtime := func(factor float64) int64 {
-		dt, err := NewTrainer(Config{Nodes: 4, TreeSize: 6, StragglerFactor: factor,
-			StragglerNode: 2, Params: tree.DefaultSplitParams()}, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dt.BuildTree(grad); err != nil {
-			t.Fatal(err)
-		}
-		return dt.Pool().VirtualNanos()
+	if _, err := boost.Train(dt, ds, boost.Config{
+		Rounds: 4, CheckpointDir: dir, CheckpointEvery: 1,
+	}, nil, nil); err == nil {
+		t.Fatal("training survived an allreduce step that failed on every attempt")
 	}
-	even := vtime(0)
-	slow := vtime(50)
-	if slow <= even {
-		t.Fatalf("straggler not slower: %d vs %d", slow, even)
+	if fired := fault.Fired("dist.allreduce"); fired != 1+maxRetries {
+		t.Fatalf("%d attempts failed, want %d (one try and %d retries)", fired, 1+maxRetries, maxRetries)
 	}
-}
+	if _, err := obs.ReadFlightDump(flightPath); err != nil {
+		t.Fatal(err)
+	}
 
-func TestFailureConfigValidation(t *testing.T) {
-	if err := (Config{Nodes: 4, FailNode: 7}).Validate(); err == nil {
-		t.Fatal("out-of-range fail node accepted")
+	ck, err := boost.LoadCheckpoint(boost.CheckpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Config{Nodes: 4, StragglerNode: -1}).Validate(); err == nil {
-		t.Fatal("negative straggler node accepted")
+	want, err := json.Marshal(refRes.Model)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Config{StragglerFactor: -2}).Validate(); err == nil {
-		t.Fatal("negative straggler factor accepted")
+	got, err := json.Marshal(ck.Model)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Config{StepTimeoutMicros: -1}).Validate(); err == nil {
-		t.Fatal("negative timeout accepted")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint holds %d rounds that differ from the fault-free 2-round model", ck.Round)
+	}
+
+	rep := dt.CommsReport()
+	if err := rep.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+	// The failing step is round 3's root histogram: one dense histogram.
+	payload := int64(dt.layout.TotalBins()) * 16
+	for _, nc := range rep.Nodes {
+		if nc.LostBytes != payload {
+			t.Fatalf("node %d lost %d bytes, want one attempt's payload %d", nc.Node, nc.LostBytes, payload)
+		}
 	}
 }

@@ -7,14 +7,14 @@ package dist
 //   - a successful attempt's bytes are DELIVERED;
 //   - a failed attempt that is retried sent bytes that must be sent again —
 //     they are accounted RETRANSMITTED (the waste the retry policy causes);
-//   - a failed attempt that exhausts the retry budget and kills a node sent
-//     bytes that no retry recovers — they are LOST.
+//   - a failed attempt that exhausts the retry budget and aborts the step
+//     sent bytes that no retry recovers — they are LOST.
 //
 // Because the three outcomes partition the attempts, the ledger conserves
 // by construction: Sent = Delivered + Retransmitted + Lost, per node and in
 // total. FirstSendBytes is the attempt-0 slice of Sent — in a fault-free
 // run it equals both Sent and Delivered, and it always equals the analytic
-// dense-histogram volume (alive nodes × histogram entries × bin bytes), so
+// dense-histogram volume (nodes × histogram entries × bin bytes), so
 // a scaling study can separate the algorithm's intrinsic communication from
 // the failure-recovery overhead on top.
 //
@@ -42,7 +42,7 @@ var (
 	mCommsBytesRetransmitted = obs.DefaultRegistry().Counter("dist_comms_bytes_retransmitted_total",
 		"Simulated payload bytes of failed attempts that were retried")
 	mCommsBytesLost = obs.DefaultRegistry().Counter("dist_comms_bytes_lost_total",
-		"Simulated payload bytes of failed attempts that killed a node")
+		"Simulated payload bytes of failed attempts that aborted a step")
 	mCommsSteps = obs.DefaultRegistry().Counter("dist_allreduce_steps_total",
 		"Completed simulated allreduce steps")
 	mCommsStepNanos = obs.DefaultRegistry().Counter("dist_allreduce_step_nanos_total",
@@ -60,8 +60,6 @@ const (
 type NodeComms struct {
 	// Node is the cluster node index.
 	Node int `json:"node"`
-	// Alive reports whether the node survived the run.
-	Alive bool `json:"alive"`
 	// MsgsSent counts ring messages across all attempts; the three
 	// categories below partition it by attempt outcome.
 	MsgsSent          int64 `json:"msgs_sent"`
@@ -77,12 +75,6 @@ type NodeComms struct {
 	// FirstSendBytes is the attempt-0 slice of SentBytes: the intrinsic
 	// dense-histogram volume, independent of faults and retries.
 	FirstSendBytes int64 `json:"first_send_bytes"`
-	// Rejoins/RestoreBytes account readmissions of this node. Restore
-	// traffic is a point-to-point replica read, not an allreduce attempt,
-	// so it lives outside the Sent = Delivered + Retransmitted + Lost
-	// partition and never disturbs conservation.
-	Rejoins      int64 `json:"rejoins,omitempty"`
-	RestoreBytes int64 `json:"restore_bytes,omitempty"`
 }
 
 // RoundComms aggregates one boosting round's communication.
@@ -103,21 +95,13 @@ type RoundComms struct {
 
 // CommsTotals is the cluster-wide summary of the ledger.
 type CommsTotals struct {
-	Nodes      int `json:"nodes"`
-	AliveNodes int `json:"alive_nodes"`
-	Rounds     int `json:"rounds"`
-	Steps      int `json:"steps"`
-	Retries    int `json:"retries"`
-	Failures   int `json:"failures"`
-
-	// Degradation-ladder rung counters: Deadlines counts per-step deadline
-	// expiries (ladder rung 1 — every one becomes either a retransmitted
-	// or a lost attempt), Rejoins counts readmissions (rung 4), and
-	// RejoinsDenied counts restore attempts that failed (death during
-	// recovery).
-	Deadlines     int `json:"deadlines"`
-	Rejoins       int `json:"rejoins"`
-	RejoinsDenied int `json:"rejoins_denied"`
+	Nodes   int `json:"nodes"`
+	Rounds  int `json:"rounds"`
+	Steps   int `json:"steps"`
+	Retries int `json:"retries"`
+	// Deadlines counts per-step deadline expiries: every one becomes
+	// either a retransmitted or a lost attempt.
+	Deadlines int `json:"deadlines"`
 
 	MsgsSent          int64 `json:"msgs_sent"`
 	MsgsDelivered     int64 `json:"msgs_delivered"`
@@ -130,17 +114,11 @@ type CommsTotals struct {
 	LostBytes       int64 `json:"lost_bytes"`
 	FirstSendBytes  int64 `json:"first_send_bytes"`
 
-	// StepNanos / RetryNanos / RecoveryNanos / RejoinNanos decompose the
-	// virtual-clock communication time: total allreduce step time, the
-	// slice of it lost to timeouts and backoff, the re-sharding cost of
-	// node failures, and the restore cost of readmissions. RestoreBytes is
-	// the rejoin traffic (checkpoint + shard replica), outside the Sent
-	// partition.
-	StepNanos     int64 `json:"step_nanos"`
-	RetryNanos    int64 `json:"retry_nanos"`
-	RecoveryNanos int64 `json:"recovery_nanos"`
-	RejoinNanos   int64 `json:"rejoin_nanos"`
-	RestoreBytes  int64 `json:"restore_bytes"`
+	// StepNanos / RetryNanos decompose the virtual-clock communication
+	// time: total allreduce step time, and the slice of it lost to
+	// timeouts and backoff.
+	StepNanos  int64 `json:"step_nanos"`
+	RetryNanos int64 `json:"retry_nanos"`
 }
 
 // CommsReport is the serializable ledger snapshot: per-node table,
@@ -154,23 +132,16 @@ type CommsReport struct {
 
 // commsLedger is the Trainer-internal mutable ledger state.
 type commsLedger struct {
-	nodes    []NodeComms
-	rounds   []RoundComms
-	round    int // current 1-based round; 0 before the first BuildTree
-	failures int
-
-	// Ladder rung counters (see CommsTotals).
-	deadlines     int
-	rejoins       int
-	rejoinsDenied int
-	restoreBytes  int64
+	nodes     []NodeComms
+	rounds    []RoundComms
+	round     int // current 1-based round; 0 before the first BuildTree
+	deadlines int // see CommsTotals
 }
 
 func newCommsLedger(nodes int) *commsLedger {
 	l := &commsLedger{nodes: make([]NodeComms, nodes)}
 	for i := range l.nodes {
 		l.nodes[i].Node = i
-		l.nodes[i].Alive = true
 	}
 	return l
 }
@@ -188,16 +159,12 @@ func (l *commsLedger) curRound() *RoundComms {
 	return &l.rounds[len(l.rounds)-1]
 }
 
-// recordAttempt accounts one allreduce attempt: every alive node sends the
+// recordAttempt accounts one allreduce attempt: every node sends the
 // payload once, categorized by the attempt's outcome.
-func (l *commsLedger) recordAttempt(alive []bool, bytes int64, attempt, outcome int) {
-	msgs := int64(2 * (countAlive(alive) - 1))
-	var participants int64
-	for node, a := range alive {
-		if !a {
-			continue
-		}
-		participants++
+func (l *commsLedger) recordAttempt(bytes int64, attempt, outcome int) {
+	msgs := int64(2 * (len(l.nodes) - 1))
+	participants := int64(len(l.nodes))
+	for node := range l.nodes {
 		nc := &l.nodes[node]
 		nc.MsgsSent += msgs
 		nc.SentBytes += bytes
@@ -232,17 +199,6 @@ func (l *commsLedger) recordAttempt(alive []bool, bytes int64, attempt, outcome 
 	}
 }
 
-// recordRejoin accounts one readmission's restore traffic: dedicated
-// columns outside the allreduce attempt partition, so the conservation
-// identity is untouched by construction.
-func (l *commsLedger) recordRejoin(node int, bytes int64) {
-	nc := &l.nodes[node]
-	nc.Rejoins++
-	nc.RestoreBytes += bytes
-	l.rejoins++
-	l.restoreBytes += bytes
-}
-
 // recordStep accounts one completed allreduce step's virtual-clock latency
 // (successful transfer plus any timeout/backoff time spent on the way).
 func (l *commsLedger) recordStep(nanos int64) {
@@ -251,16 +207,6 @@ func (l *commsLedger) recordStep(nanos int64) {
 	r.StepNanos += nanos
 	mCommsSteps.Inc()
 	mCommsStepNanos.Add(nanos)
-}
-
-func countAlive(alive []bool) int {
-	n := 0
-	for _, a := range alive {
-		if a {
-			n++
-		}
-	}
-	return n
 }
 
 // CommsReport snapshots the ledger. Safe to call between trees; the report
@@ -274,19 +220,9 @@ func (t *Trainer) CommsReport() *CommsReport {
 	tot := &rep.Totals
 	tot.Nodes = len(l.nodes)
 	tot.Rounds = l.round
-	tot.Failures = l.failures
 	tot.Deadlines = l.deadlines
-	tot.Rejoins = l.rejoins
-	tot.RejoinsDenied = l.rejoinsDenied
-	tot.RestoreBytes = l.restoreBytes
 	tot.RetryNanos = t.retryNanos
-	tot.RecoveryNanos = t.recoveryNanos
-	tot.RejoinNanos = t.rejoinNanos
 	for i := range rep.Nodes {
-		rep.Nodes[i].Alive = t.alive[i]
-		if t.alive[i] {
-			tot.AliveNodes++
-		}
 		nc := &rep.Nodes[i]
 		tot.MsgsSent += nc.MsgsSent
 		tot.MsgsDelivered += nc.MsgsDelivered
@@ -327,21 +263,20 @@ func (r *CommsReport) Conserved() error {
 // table (the CLI `comms` report).
 func (r *CommsReport) WriteTable(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "node\talive\tmsgs\tdelivered\tretrans\tlost\tsentMB\tfirstMB\tretransMB\tlostMB")
+	fmt.Fprintln(tw, "node\tmsgs\tdelivered\tretrans\tlost\tsentMB\tfirstMB\tretransMB\tlostMB")
 	mb := func(b int64) string { return fmt.Sprintf("%.3f", float64(b)/1e6) }
 	for _, nc := range r.Nodes {
-		fmt.Fprintf(tw, "%d\t%v\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
-			nc.Node, nc.Alive, nc.MsgsSent, nc.MsgsDelivered, nc.MsgsRetransmitted, nc.MsgsLost,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
+			nc.Node, nc.MsgsSent, nc.MsgsDelivered, nc.MsgsRetransmitted, nc.MsgsLost,
 			mb(nc.SentBytes), mb(nc.FirstSendBytes), mb(nc.RetransmitBytes), mb(nc.LostBytes))
 	}
 	t := r.Totals
-	fmt.Fprintf(tw, "total\t%d/%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
-		t.AliveNodes, t.Nodes, t.MsgsSent, t.MsgsDelivered, t.MsgsRetransmitted, t.MsgsLost,
+	fmt.Fprintf(tw, "total\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
+		t.MsgsSent, t.MsgsDelivered, t.MsgsRetransmitted, t.MsgsLost,
 		mb(t.SentBytes), mb(t.FirstSendBytes), mb(t.RetransmitBytes), mb(t.LostBytes))
-	fmt.Fprintf(tw, "\nrounds %d  steps %d  deadlines %d  retries %d  failures %d  rejoins %d  denied %d\n",
-		t.Rounds, t.Steps, t.Deadlines, t.Retries, t.Failures, t.Rejoins, t.RejoinsDenied)
-	fmt.Fprintf(tw, "step %.3fms  retry %.3fms  recovery %.3fms  rejoin %.3fms (virtual clock, restore %.3fMB)\n",
-		float64(t.StepNanos)/1e6, float64(t.RetryNanos)/1e6, float64(t.RecoveryNanos)/1e6,
-		float64(t.RejoinNanos)/1e6, float64(t.RestoreBytes)/1e6)
+	fmt.Fprintf(tw, "\nnodes %d  rounds %d  steps %d  deadlines %d  retries %d\n",
+		t.Nodes, t.Rounds, t.Steps, t.Deadlines, t.Retries)
+	fmt.Fprintf(tw, "step %.3fms  retry %.3fms (virtual clock)\n",
+		float64(t.StepNanos)/1e6, float64(t.RetryNanos)/1e6)
 	return tw.Flush()
 }

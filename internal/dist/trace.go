@@ -4,9 +4,8 @@ package dist
 // pid group in the Chrome trace (lane "node-N"), its phases are drawn as
 // explicit-timestamp spans on the node's virtual clock, and each allreduce
 // step emits matched send→recv flow arrows around the ring, so one merged
-// trace file shows the whole cluster's timeline — compute skew, retry
-// stalls, node deaths and the recovery that follows — next to the real-time
-// lanes of the orchestrating process.
+// trace file shows the whole cluster's timeline — compute skew and retry
+// stalls — next to the real-time lanes of the orchestrating process.
 
 import (
 	"fmt"
@@ -27,23 +26,20 @@ func (t *Trainer) nameLanes() {
 		return
 	}
 	t.named = true
-	for i := range t.alive {
+	for i := 0; i < t.cfg.Nodes; i++ {
 		obs.SetProcessName(nodePID(i), fmt.Sprintf("node-%d", i))
 	}
 }
 
 // advancePhase draws one compute phase (walls[node] nanoseconds per node)
-// on each alive node's lane and advances the virtual clocks. Every alive
-// node gets a span — zero-duration when the measured clock didn't tick —
+// on each node's lane and advances the virtual clocks. Every node gets a
+// span — zero-duration when the measured clock didn't tick —
 // so the trace's event structure is deterministic for a given fault
 // schedule even though the measured durations are not. Returns the slowest
 // node's wall time, which bounds the simulated step.
 func (t *Trainer) advancePhase(name string, walls []int64) int64 {
 	var maxWall int64
 	for node, d := range walls {
-		if !t.alive[node] {
-			continue
-		}
 		obs.SpanAt("dist-node", name, nodePID(node), 0, t.clock[node], d) //harplint:ignore obshygiene -- forwarding wrapper: every advancePhase caller passes a constant phase name
 		t.clock[node] += d
 		if d > maxWall {
@@ -53,65 +49,54 @@ func (t *Trainer) advancePhase(name string, walls []int64) int64 {
 	return maxWall
 }
 
-// barrierClock returns the latest virtual time among alive nodes — the
+// barrierClock returns the latest virtual time among the nodes — the
 // point where a collective step can begin.
 func (t *Trainer) barrierClock() int64 {
 	var b int64
-	for node, a := range t.alive {
-		if a && t.clock[node] > b {
-			b = t.clock[node]
-		}
+	for _, c := range t.clock {
+		b = max(b, c)
 	}
 	return b
 }
 
-// alignClocks sets every alive node's clock to base+d (the collective
-// step's completion time).
+// alignClocks sets every node's clock to base+d (the collective step's
+// completion time).
 func (t *Trainer) alignClocks(base, d int64) {
-	for node, a := range t.alive {
-		if a {
-			t.clock[node] = base + d
-		}
+	for node := range t.clock {
+		t.clock[node] = base + d
 	}
 }
 
 // traceStall draws the timeout/backoff window of a failing allreduce step
-// on every currently-alive node's lane.
+// on every node's lane.
 func (t *Trainer) traceStall(base, stall int64) {
 	if !obs.TracingEnabled() || stall == 0 {
 		return
 	}
-	for node, a := range t.alive {
-		if a {
-			obs.SpanAt("dist-comm", "allreduce-retry", nodePID(node), 0, base, stall)
-		}
+	for node := 0; node < t.cfg.Nodes; node++ {
+		obs.SpanAt("dist-comm", "allreduce-retry", nodePID(node), 0, base, stall)
 	}
 }
 
 // traceAllreduce draws one completed allreduce step starting at the
 // barrier time `base`: a retry-stall span when timeouts/backoff were spent,
 // the transfer span itself, and matched send→recv flow arrows from every
-// alive node to its ring successor.
+// node to its ring successor.
 func (t *Trainer) traceAllreduce(base, stall, lat, bytes int64, attempts int) {
 	if !obs.TracingEnabled() {
 		return
 	}
 	t.traceStall(base, stall)
-	alive := make([]int, 0, len(t.alive))
-	for node, a := range t.alive {
-		if a {
-			alive = append(alive, node)
-		}
-	}
-	for _, node := range alive {
+	n := t.cfg.Nodes
+	for node := 0; node < n; node++ {
 		obs.SpanAt("dist-comm", "allreduce", nodePID(node), 0, base+stall, lat,
 			obs.Arg{Key: "bytes", Value: bytes}, obs.Arg{Key: "attempts", Value: attempts})
 	}
-	if len(alive) < 2 {
+	if n < 2 {
 		return
 	}
-	for i, node := range alive {
-		succ := alive[(i+1)%len(alive)]
+	for node := 0; node < n; node++ {
+		succ := (node + 1) % n
 		t.flowSeq++
 		obs.FlowStartAt("dist-comm", "ghsum", nodePID(node), 0, base+stall, t.flowSeq)
 		obs.FlowEndAt("dist-comm", "ghsum", nodePID(succ), 0, base+stall+lat, t.flowSeq)

@@ -46,17 +46,6 @@ type ClusterSized interface {
 	ClusterNodes() int
 }
 
-// CheckpointObserver is optionally implemented by builders that want to
-// know where the boosting loop last persisted a durable checkpoint. The
-// dist trainer uses the artifact to price checkpoint-backed restores when
-// a dead node is readmitted.
-type CheckpointObserver interface {
-	// ObserveCheckpoint reports the checkpoint file path and the number of
-	// completed rounds it holds, after every successful save (and once on
-	// resume).
-	ObserveCheckpoint(path string, round int)
-}
-
 // RowSet is the set of training rows in one tree node, in stable order. When
 // the engine enables the MemBuf optimization, Mem carries (rowid, g, h)
 // entries and Rows is nil; otherwise Rows carries bare ids and gradients are

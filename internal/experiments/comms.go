@@ -42,7 +42,6 @@ func Comms(sc Scale) (*BenchReport, *dist.CommsReport, *profile.Table, error) {
 	tb := profile.NewTable("Distributed comms: "+rep.Engine+" on "+rep.Dataset,
 		"metric", "value")
 	tb.AddRow("nodes", ct.Nodes)
-	tb.AddRow("alive nodes", ct.AliveNodes)
 	tb.AddRow("rounds", ct.Rounds)
 	tb.AddRow("allreduce steps", ct.Steps)
 	tb.AddRow("msgs sent", ct.MsgsSent)
@@ -51,7 +50,6 @@ func Comms(sc Scale) (*BenchReport, *dist.CommsReport, *profile.Table, error) {
 	tb.AddRow("retransmitted MB", float64(ct.RetransmitBytes)/1e6)
 	tb.AddRow("lost MB", float64(ct.LostBytes)/1e6)
 	tb.AddRow("retries", ct.Retries)
-	tb.AddRow("failures", ct.Failures)
 	tb.AddRow("step ms (virtual)", float64(ct.StepNanos)/1e6)
 	return rep, rep.Comms, tb, nil
 }

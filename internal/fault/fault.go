@@ -14,7 +14,7 @@
 // fault schedules are reproducible run to run.
 //
 // The package is a leaf except for the obs metrics registry: every fire
-// increments fault_injected_total{point="..."} so injected chaos is
+// increments fault_injected_total{point="..."} so injected faults are
 // visible on /metrics next to the recovery counters it exercises.
 package fault
 

@@ -11,11 +11,10 @@ import (
 
 // errFlowAnalysis implements the errflow rule: errors originating in the
 // durable-persistence layer — safeio atomic writes and everything built on
-// them (checkpoints, model/cache persistence, flight-recorder dumps, dist
-// restore paths) — must never be discarded or shadowed, and must be
-// wrapped with %w when propagated. The fault-tolerance guarantees of the
-// checkpoint/resume and elastic-rejoin machinery (bit-identical resumed
-// models, ledger conservation) are only as strong as the weakest error
+// them (checkpoints, model/cache persistence, flight-recorder dumps) —
+// must never be discarded or shadowed, and must be wrapped with %w when
+// propagated. The fault-tolerance guarantees of the checkpoint/resume
+// machinery (bit-identical resumed models) are only as strong as the weakest error
 // path: a dropped safeio error turns a detected corrupt checkpoint into a
 // silent one.
 //

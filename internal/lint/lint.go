@@ -106,8 +106,8 @@ var DeterministicPackages = []string{
 	"internal/tree",
 	"internal/boost",
 	// The virtual-clock layers: simulated-cluster timing and the seeded
-	// fault/chaos machinery must never read the wall clock or the global
-	// rand source, or fault schedules stop being replayable.
+	// fault registry must never read the wall clock or the global rand
+	// source, or an injected failure stops replaying the same way.
 	"internal/dist",
 	"internal/fault",
 }
