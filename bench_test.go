@@ -200,7 +200,7 @@ func BenchmarkTrainPerTree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, engineName := range []string{"harp", "xgb-depth", "xgb-leaf", "xgb-approx", "lightgbm"} {
+	for _, engineName := range []string{"harp", "xgb-depth", "xgb-leaf", "lightgbm"} {
 		b.Run(engineName, func(b *testing.B) {
 			opts := Options{Engine: engineName,
 				Harp:     HarpConfig{Mode: Sync, K: 32, Growth: Leafwise, TreeSize: 8, FeatureBlockSize: 4, NodeBlockSize: 32, UseMemBuf: true},

@@ -125,7 +125,7 @@ func cmdTrain(args []string) error {
 	df := addDataFlags(fs)
 	var (
 		modelPath = fs.String("model", "model.json", "output model path")
-		engineN   = fs.String("engine", "harp", "engine: harp, xgb-depth, xgb-leaf, xgb-approx, lightgbm")
+		engineN   = fs.String("engine", "harp", "engine: harp, xgb-depth, xgb-leaf, lightgbm")
 		trees     = fs.Int("trees", 100, "number of boosting rounds")
 		lr        = fs.Float64("lr", 0.1, "learning rate")
 		objective = fs.String("objective", "binary:logistic", "objective: binary:logistic or reg:squarederror")

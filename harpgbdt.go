@@ -5,12 +5,11 @@
 // parallel modes, and memory-access optimizations (1-byte bins, MemBuf
 // gradient replicas, histogram subtraction).
 //
-// The package also ships faithful reimplementations of the paper's
-// baselines (XGBoost hist/approx and LightGBM parallel designs) behind the
-// same Builder interface, the synthetic dataset generators matching the
-// paper's Table III shapes, and the experiment harness regenerating every
-// table and figure of the evaluation (see cmd/experiments and
-// EXPERIMENTS.md).
+// The package also ships the paper's baselines (XGBoost hist and LightGBM
+// parallel designs) as configurations of the same block-parallel builder,
+// the synthetic dataset generators matching the paper's Table III shapes,
+// and the experiment harness regenerating every table and figure of the
+// evaluation (see cmd/experiments and EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -63,7 +62,7 @@ type (
 	BuiltTree = engine.BuiltTree
 	// HarpConfig is the HarpGBDT engine configuration (Table IV).
 	HarpConfig = core.Config
-	// BaselineConfig configures the XGBoost/LightGBM-style engines.
+	// BaselineConfig configures the XGBoost/LightGBM presets.
 	BaselineConfig = baseline.Config
 	// BoostConfig controls the boosting loop.
 	BoostConfig = boost.Config
@@ -160,12 +159,12 @@ const (
 
 // Options selects and configures a training engine.
 type Options struct {
-	// Engine picks the trainer: "harp" (default), "xgb-depth", "xgb-leaf",
-	// "xgb-approx" or "lightgbm".
+	// Engine picks the trainer: "harp" (default), "xgb-depth", "xgb-leaf"
+	// or "lightgbm".
 	Engine string
 	// Harp configures the HarpGBDT engine (zero value = paper defaults).
 	Harp HarpConfig
-	// Baseline configures the baseline engines.
+	// Baseline configures the baseline presets.
 	Baseline BaselineConfig
 	// Boost controls the boosting loop (zero value = 100 rounds, lr 0.1,
 	// logistic loss).
@@ -184,34 +183,19 @@ func NewBuilder(opts Options, ds *Dataset) (Builder, error) {
 			cfg.Params = tree.DefaultSplitParams()
 		}
 		return core.NewBuilder(cfg, ds)
-	case "xgb-depth":
+	case "xgb-depth", "xgb-leaf", "lightgbm":
 		cfg := opts.Baseline
-		cfg.Growth = grow.Depthwise
 		if cfg.Params == (SplitParams{}) {
 			cfg.Params = tree.DefaultSplitParams()
+		}
+		if opts.Engine == "lightgbm" {
+			return baseline.NewLightGBM(cfg, ds)
+		}
+		cfg.Growth = grow.Leafwise
+		if opts.Engine == "xgb-depth" {
+			cfg.Growth = grow.Depthwise
 		}
 		return baseline.NewXGBHist(cfg, ds)
-	case "xgb-leaf":
-		cfg := opts.Baseline
-		cfg.Growth = grow.Leafwise
-		if cfg.Params == (SplitParams{}) {
-			cfg.Params = tree.DefaultSplitParams()
-		}
-		return baseline.NewXGBHist(cfg, ds)
-	case "xgb-approx":
-		cfg := opts.Baseline
-		cfg.Growth = grow.Depthwise
-		if cfg.Params == (SplitParams{}) {
-			cfg.Params = tree.DefaultSplitParams()
-		}
-		return baseline.NewXGBApprox(cfg, ds)
-	case "lightgbm":
-		cfg := opts.Baseline
-		cfg.Growth = grow.Leafwise
-		if cfg.Params == (SplitParams{}) {
-			cfg.Params = tree.DefaultSplitParams()
-		}
-		return baseline.NewLightGBM(cfg, ds)
 	default:
 		return nil, fmt.Errorf("harpgbdt: unknown engine %q", opts.Engine)
 	}

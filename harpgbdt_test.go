@@ -13,12 +13,11 @@ func TestNewBuilderEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for engine, wantName := range map[string]string{
-		"":           "harp-ASYNC",
-		"harp":       "harp-ASYNC",
-		"xgb-depth":  "xgb-depth",
-		"xgb-leaf":   "xgb-leaf",
-		"xgb-approx": "xgb-approx",
-		"lightgbm":   "lightgbm",
+		"":          "harp-ASYNC",
+		"harp":      "harp-ASYNC",
+		"xgb-depth": "xgb-depth",
+		"xgb-leaf":  "xgb-leaf",
+		"lightgbm":  "lightgbm",
 	} {
 		b, err := NewBuilder(Options{Engine: engine}, ds)
 		if err != nil {
@@ -28,8 +27,10 @@ func TestNewBuilderEngines(t *testing.T) {
 			t.Errorf("engine %q named %q, want %q", engine, b.Name(), wantName)
 		}
 	}
-	if _, err := NewBuilder(Options{Engine: "catboost"}, ds); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"catboost", "xgb-approx"} {
+		if _, err := NewBuilder(Options{Engine: engine}, ds); err == nil {
+			t.Fatalf("unknown engine %q accepted", engine)
+		}
 	}
 }
 

@@ -72,13 +72,17 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{TreeSize: 31}).Validate(); err == nil {
 		t.Fatal("huge tree size accepted")
 	}
-	if err := (Config{MaxDepth: -1}).Validate(); err == nil {
-		t.Fatal("negative max depth accepted")
+	if err := (Config{TreeSize: -1}).Validate(); err == nil {
+		t.Fatal("negative tree size accepted")
 	}
 	if err := (Config{TreeSize: 8}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if (Config{}).MaxLeaves() != 128 {
+	b, err := NewXGBHist(Config{}, testDataset(t, 100, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Config().MaxLeaves() != 128 {
 		t.Fatal("default leaf budget")
 	}
 }
@@ -104,15 +108,12 @@ func TestXGBHistNames(t *testing.T) {
 
 func TestEngineGrowthRestrictions(t *testing.T) {
 	ds := testDataset(t, 100, 4)
-	if _, err := NewXGBApprox(Config{Growth: grow.Leafwise, TreeSize: 4}, ds); err == nil {
-		t.Fatal("xgb-approx accepted leafwise")
-	}
 	// LightGBM silently forces leafwise regardless of the configured value.
 	lg, err := NewLightGBM(Config{Growth: grow.Depthwise, TreeSize: 4, Params: tree.DefaultSplitParams()}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lg.cfg.Growth != grow.Leafwise {
+	if lg.Config().Growth != grow.Leafwise {
 		t.Fatal("lightgbm did not force leafwise growth")
 	}
 }
@@ -159,13 +160,6 @@ func TestBaselinesMatchHarpAtEquivalentConfig(t *testing.T) {
 	if got := mustBuild(t, xd, grad).Tree; !treesEquivalent(refDepth, got) {
 		t.Error("xgb-depth differs from harp depthwise")
 	}
-	xa, err := NewXGBApprox(Config{TreeSize: 6, Params: p}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustBuild(t, xa, grad).Tree; !treesEquivalent(refDepth, got) {
-		t.Error("xgb-approx differs from harp depthwise")
-	}
 }
 
 func TestBaselineLeafOfConsistency(t *testing.T) {
@@ -182,10 +176,7 @@ func TestBaselineLeafOfConsistency(t *testing.T) {
 	if b, err := NewLightGBM(Config{TreeSize: 5, Params: p}, ds); err == nil {
 		builders = append(builders, b)
 	}
-	if b, err := NewXGBApprox(Config{TreeSize: 5, Params: p}, ds); err == nil {
-		builders = append(builders, b)
-	}
-	if len(builders) != 4 {
+	if len(builders) != 3 {
 		t.Fatal("builder construction failed")
 	}
 	for _, b := range builders {
@@ -245,7 +236,6 @@ func TestBaselineRejectsBadGradients(t *testing.T) {
 		func() (engine.Builder, error) {
 			return NewXGBHist(Config{Growth: grow.Leafwise, TreeSize: 4, Params: p}, ds)
 		},
-		func() (engine.Builder, error) { return NewXGBApprox(Config{TreeSize: 4, Params: p}, ds) },
 		func() (engine.Builder, error) { return NewLightGBM(Config{TreeSize: 4, Params: p}, ds) },
 	} {
 		b, err := mk()
@@ -255,22 +245,6 @@ func TestBaselineRejectsBadGradients(t *testing.T) {
 		if _, err := b.BuildTree(gh.NewBuffer(7)); err == nil {
 			t.Fatalf("%s accepted wrong gradient length", b.Name())
 		}
-	}
-}
-
-func TestXGBApproxZeroGain(t *testing.T) {
-	ds := testDataset(t, 300, 4)
-	grad := gh.NewBuffer(300)
-	for i := range grad {
-		grad[i] = gh.Pair{G: 0, H: 1}
-	}
-	b, err := NewXGBApprox(Config{TreeSize: 5, Params: tree.DefaultSplitParams()}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := mustBuild(t, b, grad)
-	if bt.Tree.NumNodes() != 1 {
-		t.Fatalf("zero gradients grew %d nodes", bt.Tree.NumNodes())
 	}
 }
 
@@ -297,7 +271,6 @@ func TestBaselinesOnMissingHeavyData(t *testing.T) {
 		func() (engine.Builder, error) {
 			return NewXGBHist(Config{Growth: grow.Leafwise, TreeSize: 5, Params: p}, ds)
 		},
-		func() (engine.Builder, error) { return NewXGBApprox(Config{TreeSize: 5, Params: p}, ds) },
 		func() (engine.Builder, error) { return NewLightGBM(Config{TreeSize: 5, Params: p}, ds) },
 	} {
 		b, err := mk()

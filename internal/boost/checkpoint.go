@@ -6,10 +6,9 @@ package boost
 // bookkeeping — so a killed run restarted with Config.Resume continues
 // from the last checkpoint and finishes with bit-identical predictions.
 //
-// Margins are persisted rather than replayed from the trees because some
-// engines (xgb-approx) route training rows through engine-private sketch
-// bins: the stored trees alone cannot reproduce training-time leaf
-// assignments. Test-set margins, by contrast, are always computed with
+// Training margins are persisted rather than replayed from the trees, so
+// resume costs one copy of N floats instead of a walk of every tree for
+// every training row. Test-set margins, by contrast, are computed with
 // tree.PredictRowRaw, so resume replays them from the checkpointed trees
 // in the exact order training would have used.
 

@@ -60,7 +60,17 @@ func TestGoldenModels(t *testing.T) {
 			return baseline.NewXGBHist(baseline.Config{Growth: grow.Leafwise, TreeSize: 8,
 				Params: tree.DefaultSplitParams(), Workers: 1}, thin)
 		}, "4426cb5fe8133a898cf0ddc7619968a5d8163ae334b3408b58854fc702dded35"},
-		// The paths the five above do not reach, recorded before FindSplit
+		// The two other baseline presets, recorded from the stand-alone
+		// engines they replace.
+		{"xgbdepth-w1-higgs", thin, func() (engine.Builder, error) {
+			return baseline.NewXGBHist(baseline.Config{Growth: grow.Depthwise, TreeSize: 8,
+				Params: tree.DefaultSplitParams(), Workers: 1}, thin)
+		}, "727f6ec5f601caa2a67866b0c6a3813135c512165d6a393d7553d30c4e385ccc"},
+		{"lightgbm-v32-yfcc", fat, func() (engine.Builder, error) {
+			return baseline.NewLightGBM(baseline.Config{TreeSize: 8,
+				Params: tree.DefaultSplitParams(), Workers: 32, Virtual: true}, fat)
+		}, "dc808136c327e40415c3d161722889376b2eb0a67dc09845ddd77e5996f34eda"},
+		// The paths the rows above do not reach, recorded before FindSplit
 		// was compacted, subtraction fused into it and zeroing moved into the
 		// block tasks. MP bin blocks: each ⟨feature block, bin range⟩ task
 		// zeroes its own cells.

@@ -164,10 +164,6 @@ func newLightGBM(sc Scale, ds *dataset.Dataset, d int) (engine.Builder, error) {
 	return baseline.NewLightGBM(baselineCfg(sc, grow.Leafwise, d), ds)
 }
 
-func newXGBApprox(sc Scale, ds *dataset.Dataset, d int) (engine.Builder, error) {
-	return baseline.NewXGBApprox(baselineCfg(sc, grow.Depthwise, d), ds)
-}
-
 // Table is the printable result table type (re-exported for callers that
 // otherwise need no profile import).
 type Table = profile.Table

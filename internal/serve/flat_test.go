@@ -63,16 +63,12 @@ func engineBuilders(t *testing.T, ds *dataset.Dataset) map[string]engine.Builder
 	if err != nil {
 		t.Fatal(err)
 	}
-	xa, err := baseline.NewXGBApprox(bcfg(grow.Depthwise), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lg, err := baseline.NewLightGBM(bcfg(grow.Leafwise), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]engine.Builder{
-		"harp": harp, "xgb-depth": xd, "xgb-leaf": xl, "xgb-approx": xa, "lightgbm": lg,
+		"harp": harp, "xgb-depth": xd, "xgb-leaf": xl, "lightgbm": lg,
 	}
 }
 

@@ -19,7 +19,6 @@ func TestSmokeAllEngines(t *testing.T) {
 		{Engine: "harp", Harp: HarpConfig{Mode: Sync, K: 8, TreeSize: 6, UseMemBuf: true, FeatureBlockSize: 4}},
 		{Engine: "xgb-depth", Baseline: BaselineConfig{TreeSize: 6}},
 		{Engine: "xgb-leaf", Baseline: BaselineConfig{TreeSize: 6}},
-		{Engine: "xgb-approx", Baseline: BaselineConfig{TreeSize: 6}},
 		{Engine: "lightgbm", Baseline: BaselineConfig{TreeSize: 6}},
 	}
 	for _, opts := range engines {
