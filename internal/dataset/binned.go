@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-
-	"harpgbdt/internal/sched"
-)
+import "fmt"
 
 // BinnedMatrix stores the input after histogram initialization: a row-major
 // N x M matrix of 1-byte bin ids (MissingBin for missing values). This is
@@ -43,38 +39,21 @@ func (b *BinnedMatrix) Validate(c *Cuts) error {
 	return nil
 }
 
-// BinDense quantizes a dense matrix with the given cuts. Row chunks run in
-// parallel over GOMAXPROCS workers; every cell is binned independently.
+// BinDense quantizes a dense matrix with the given cuts; NaN cells become
+// MissingBin. Each feature is sorted once and merged against its cuts, the
+// features in parallel over GOMAXPROCS workers (see setup).
 func BinDense(d *Dense, c *Cuts) *BinnedMatrix {
 	b := &BinnedMatrix{N: d.N, M: d.M, Bins: make([]uint8, d.N*d.M)}
-	sched.NewPool(0).ParallelFor(d.N, 0, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			out := b.Row(i)
-			for f, v := range d.Row(i) {
-				out[f] = c.BinValue(f, v)
-			}
-		}
-	})
+	setup(denseSource(d), 0, c, b)
 	return b
 }
 
-// BinCSR quantizes a CSR matrix with the given cuts; absent entries become
-// MissingBin. Row chunks run in parallel like BinDense.
+// BinCSR quantizes a CSR matrix with the given cuts; absent entries and
+// explicit NaNs become MissingBin. It runs the per-feature sort and merge
+// of BinDense over the matrix's per-feature buckets.
 func BinCSR(s *CSR, c *Cuts) *BinnedMatrix {
 	b := &BinnedMatrix{N: s.N, M: s.M, Bins: make([]uint8, s.N*s.M)}
-	sched.NewPool(0).ParallelFor(s.N, 0, func(lo, hi, _ int) {
-		chunk := b.Bins[lo*s.M : hi*s.M]
-		for i := range chunk {
-			chunk[i] = MissingBin
-		}
-		for i := lo; i < hi; i++ {
-			cols, vals := s.Row(i)
-			out := b.Row(i)
-			for k, col := range cols {
-				out[col] = c.BinValue(int(col), vals[k])
-			}
-		}
-	})
+	setup(csrSource(s), 0, c, b)
 	return b
 }
 

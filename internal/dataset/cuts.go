@@ -3,9 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"slices"
-
-	"harpgbdt/internal/sched"
 )
 
 // MissingBin is the reserved bin id for missing values. Real bins occupy
@@ -55,8 +52,11 @@ func (c *Cuts) MaxNumBins() int {
 	return max
 }
 
-// BinValue maps a raw value of feature f to its bin id. NaN maps to
-// MissingBin.
+// BinValue maps a raw value of feature f to its bin id: the first cut >= v,
+// values above the last cut clamped into the last bin, NaN to MissingBin.
+// It is the one-value definition of a bin. The set-up pass bins whole
+// columns by a merge instead, and the tests check that merge against
+// BinValue cell by cell.
 func (c *Cuts) BinValue(f int, v float32) uint8 {
 	if v != v { // NaN
 		return MissingBin
@@ -129,110 +129,12 @@ func (c *Cuts) Validate() error {
 // XGBoost code base: an exact quantile computation over the (possibly
 // deduplicated) sorted values of each feature.
 func BuildCuts(d *Dense, maxBins int) *Cuts {
-	return buildCuts(d.M, maxBins, func(f int, col []float32) []float32 {
-		for i := f; i < len(d.Values); i += d.M {
-			if v := d.Values[i]; v == v {
-				col = append(col, v)
-			}
-		}
-		return col
-	})
+	return setup(denseSource(d), maxBins, nil, nil)
 }
 
 // BuildCutsCSR computes cut points from a CSR matrix. Absent entries and
 // explicit NaNs are treated as missing, matching the engines'
 // default-direction handling: the cuts equal those of s.ToDense().
 func BuildCutsCSR(s *CSR, maxBins int) *Cuts {
-	// Bucket values per feature.
-	counts := make([]int, s.M)
-	for _, col := range s.Cols {
-		counts[col]++
-	}
-	offs := make([]int, s.M+1)
-	for f := 0; f < s.M; f++ {
-		offs[f+1] = offs[f] + counts[f]
-	}
-	byFeat := make([]float32, len(s.Vals))
-	fill := make([]int, s.M)
-	copy(fill, offs[:s.M])
-	for k, col := range s.Cols {
-		byFeat[fill[col]] = s.Vals[k]
-		fill[col]++
-	}
-	return buildCuts(s.M, maxBins, func(f int, col []float32) []float32 {
-		for _, v := range byFeat[offs[f]:offs[f+1]] {
-			if v == v {
-				col = append(col, v)
-			}
-		}
-		return col
-	})
-}
-
-// buildCuts is the one cut driver behind BuildCuts and BuildCutsCSR.
-// gather appends the non-NaN values of feature f to col and returns it.
-// Features run in parallel over GOMAXPROCS workers, each reusing one
-// column scratch (workers x rows floats, not a copy of the matrix); the
-// cuts are assembled in feature order, so they do not depend on the width.
-func buildCuts(m, maxBins int, gather func(f int, col []float32) []float32) *Cuts {
-	if maxBins <= 1 || maxBins > MaxAllowedBins {
-		maxBins = MaxAllowedBins
-	}
-	pool := sched.NewPool(0)
-	scratch := make([][]float32, pool.Workers())
-	perFeature := make([][]float32, m)
-	pool.ParallelFor(m, 1, func(lo, hi, w int) {
-		for f := lo; f < hi; f++ {
-			scratch[w] = gather(f, scratch[w][:0])
-			perFeature[f] = quantileCuts(scratch[w], maxBins)
-		}
-	})
-	c := &Cuts{M: m, Ptr: make([]int32, m+1), MaxBins: maxBins}
-	for f, cuts := range perFeature {
-		c.Vals = append(c.Vals, cuts...)
-		c.Ptr[f+1] = int32(len(c.Vals))
-	}
-	return c
-}
-
-// quantileCuts sorts vals in place and returns at most maxBins strictly
-// increasing cut points such that each bin receives roughly equal mass.
-// A constant feature yields a single cut (one bin). An empty slice yields
-// nil (no data: every value at prediction time clamps to bin 0).
-//
-// The dedup keeps whichever of the equal-comparing -0 and +0 the sort put
-// first, so the sort's permutation is in the cut bits: slices.Sort makes
-// the same one as the sort.Slice reference in equivalence_test.go (one
-// pdqsort template); a sort that does not (a radix sort) changes cuts.
-func quantileCuts(vals []float32, maxBins int) []float32 {
-	if len(vals) == 0 {
-		return nil
-	}
-	slices.Sort(vals)
-	// Distinct values.
-	distinct := vals[:0:len(vals)] // reuse storage; safe since sorted scan is forward
-	prev := float32(math.Inf(-1))
-	for _, v := range vals {
-		if v != prev {
-			distinct = append(distinct, v)
-			prev = v
-		}
-	}
-	if len(distinct) <= maxBins {
-		out := make([]float32, len(distinct))
-		copy(out, distinct)
-		return out
-	}
-	// Pick maxBins quantile boundaries over the distinct values. Using
-	// distinct values (not raw mass) keeps cuts strictly increasing.
-	out := make([]float32, 0, maxBins)
-	n := len(distinct)
-	for k := 1; k <= maxBins; k++ {
-		idx := k*n/maxBins - 1
-		v := distinct[idx]
-		if len(out) == 0 || v > out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return setup(csrSource(s), maxBins, nil, nil)
 }

@@ -38,7 +38,8 @@ func errLabels(labels, rows int) error {
 	return fmt.Errorf("dataset: %d labels for %d rows", labels, rows)
 }
 
-// FromDense builds a Dataset from a dense value matrix and labels.
+// FromDense builds a Dataset from a dense value matrix and labels, sorting
+// each feature once for both its cuts and its bins.
 func FromDense(name string, d *Dense, labels []float32, maxBins int) (*Dataset, error) {
 	if len(labels) != d.N {
 		return nil, errLabels(len(labels), d.N)
@@ -46,11 +47,12 @@ func FromDense(name string, d *Dense, labels []float32, maxBins int) (*Dataset, 
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	cuts := BuildCuts(d, maxBins)
-	return &Dataset{Name: name, Labels: labels, Binned: BinDense(d, cuts), Cuts: cuts}, nil
+	b := &BinnedMatrix{N: d.N, M: d.M, Bins: make([]uint8, d.N*d.M)}
+	return &Dataset{Name: name, Labels: labels, Binned: b, Cuts: setup(denseSource(d), maxBins, nil, b)}, nil
 }
 
-// FromCSR builds a Dataset from a sparse matrix and labels.
+// FromCSR builds a Dataset from a sparse matrix and labels, sorting each
+// feature once for both its cuts and its bins.
 func FromCSR(name string, s *CSR, labels []float32, maxBins int) (*Dataset, error) {
 	if len(labels) != s.N {
 		return nil, fmt.Errorf("dataset: %d labels for %d rows", len(labels), s.N)
@@ -58,8 +60,8 @@ func FromCSR(name string, s *CSR, labels []float32, maxBins int) (*Dataset, erro
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cuts := BuildCutsCSR(s, maxBins)
-	return &Dataset{Name: name, Labels: labels, Binned: BinCSR(s, cuts), Cuts: cuts}, nil
+	b := &BinnedMatrix{N: s.N, M: s.M, Bins: make([]uint8, s.N*s.M)}
+	return &Dataset{Name: name, Labels: labels, Binned: b, Cuts: setup(csrSource(s), maxBins, nil, b)}, nil
 }
 
 // Stats are the shape statistics of Table III: S is the fraction of present
