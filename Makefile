@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test lint gates race-sanitize fault bench benchdiff baseline clean
+.PHONY: check vet build test lint gates race-sanitize fault bench clean
 
 ## check: the full verification gate (vet + build + harplint + the
 ## compiler-contract gate + the test suite under race detector *and*
-## harpdebug invariants + fault suite + the structural benchdiff gate).
-## Nothing here compares a
+## harpdebug invariants, which includes the structural gate
+## TestStructuralBaseline + fault suite). Nothing here compares a
 ## clock: a timing change is judged by the repo benchmark — `make bench`
 ## on the parent and on the change, then `go run ./benchmark compare
 ## parent.json change.json` (see benchmark/README.md).
-check: vet build lint gates race-sanitize fault benchdiff
+check: vet build lint gates race-sanitize fault
 
 vet:
 	$(GO) vet ./...
@@ -68,21 +68,7 @@ fault:
 bench:
 	$(GO) run ./benchmark -sets 10 -out BENCH_$(shell date +%F)_$(shell git rev-parse --short HEAD).json
 
-## benchdiff: the structural regression gate — re-run `experiments bench`
-## on the virtual 32-worker machine at the committed BENCH_baseline.json's
-## scale and fail when leaves, depth, train AUC, regions/tree, tasks/tree
-## or (with a comms section) the message ledger drift; no timing is
-## compared (see EXPERIMENTS.md, "How a change is judged")
-benchdiff:
-	$(GO) run ./cmd/experiments benchdiff
-
-## baseline: refresh the committed structural baseline at the gate's
-## canonical scale (commit the resulting BENCH_baseline.json with the
-## change that moved it)
-baseline:
-	$(GO) run ./cmd/experiments -rows 100000 -rounds 5 -bench-out BENCH_baseline.json bench
-
-# clean removes untracked run outputs only: BENCH_baseline.json and the
-# BENCH_<date>_<commit>.json trajectory points are committed files.
+# clean removes untracked run outputs only: the BENCH_<date>_<commit>.json
+# trajectory points are committed files.
 clean:
 	rm -f trace.json efficiency.json comms.json cluster-trace.json

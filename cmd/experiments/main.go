@@ -1,11 +1,11 @@
 // Command experiments regenerates the paper's tables and figures as
 // plain-text tables. Each experiment is named after the paper artifact it
 // reproduces (fig4, table1, ... fig16); `all` runs every one of them.
-// Beyond the paper artifacts it hosts the studies that run on the virtual
-// machine or the simulated cluster — bench, comms, efficiency — and
-// benchdiff, the structural gate over bench's deterministic counts. It
-// judges no timing: that is the repo benchmark's job (`go run ./benchmark`,
-// `go run ./benchmark compare`; see benchmark/README.md).
+// Beyond the paper artifacts it hosts two studies that write JSON reports:
+// comms (the simulated cluster's message/byte ledger) and efficiency (the
+// per-worker wait-state sweep). It judges no timing: that is the repo
+// benchmark's job (`go run ./benchmark`, `go run ./benchmark compare`; see
+// benchmark/README.md).
 //
 // Usage:
 //
@@ -39,29 +39,22 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runs to this file")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /progress and /debug/pprof on this address while experiments run")
-		benchOut   = flag.String("bench-out", "", "write the bench experiment's JSON report to this file (default: print the table only)")
-		perfOn     = flag.Bool("perf", false, "attach the per-worker wait-state profiler to the bench run (adds a perf section to the JSON report)")
-		distNodes  = flag.Int("dist-nodes", 0, "run the bench experiment on the simulated cluster with this many nodes (adds a comms section to the JSON report)")
 		commsOut   = flag.String("comms-out", "comms.json", "output path of the comms experiment's JSON report")
 		effOut     = flag.String("eff-out", "efficiency.json", "output path of the efficiency experiment's JSON report")
-		baseline   = flag.String("baseline", "BENCH_baseline.json", "benchdiff: committed baseline report to compare against")
 	)
 	flag.Parse()
 	sc := experiments.Scale{
 		Rows: *rows, Rounds: *rounds, ConvRounds: *convRounds,
-		Workers: *workers, Seed: *seed, RealThreads: *real, Perf: *perfOn,
-		DistNodes: *distNodes,
+		Workers: *workers, Seed: *seed, RealThreads: *real,
 	}
 	// The one table of runnable names: -list, the usage text and the
 	// dispatch below all read it. The paper artifacts come first, from the
-	// experiments registry; the hosted studies and the gate follow.
+	// experiments registry; the hosted studies follow.
 	var cmds []subcommand
 	for _, name := range experiments.Names() {
 		cmds = append(cmds, subcommand{name, func() error { return runExperiment(name, sc) }})
 	}
 	cmds = append(cmds,
-		subcommand{"bench", func() error { return runBench(sc, *benchOut) }},
-		subcommand{"benchdiff", func() error { return runBenchDiff(*baseline) }},
 		subcommand{"comms", func() error { return runComms(sc, *commsOut) }},
 		subcommand{"efficiency", func() error { return runEfficiency(sc, *effOut) }},
 	)
@@ -149,74 +142,28 @@ func runEfficiency(sc experiments.Scale, out string) error {
 	for _, tb := range tables {
 		fmt.Println(tb.String())
 	}
-	if err := rep.WriteFile(out); err != nil {
+	if err := experiments.WriteJSON(out, rep); err != nil {
 		return err
 	}
 	fmt.Printf("efficiency report written to %s\n", out)
 	return nil
 }
 
-// runBenchDiff is the structural regression gate: re-run the bench at the
-// committed baseline's scale and fail on drift of the counts the virtual
-// machine determines (see EXPERIMENTS.md, "How a change is judged").
-func runBenchDiff(baselinePath string) error {
-	base, err := experiments.LoadBenchReport(baselinePath)
-	if err != nil {
-		return fmt.Errorf("load baseline: %w", err)
-	}
-	cur, bad, err := experiments.BenchGate(base, experiments.DefaultBenchTolerance())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("benchdiff: baseline %s (%s): %d leaves, %.1f regions/tree, %.1f tasks/tree, train AUC %.4f\n",
-		baselinePath, base.Date, cur.Leaves, cur.RegionsPerTree, cur.TasksPerTree, cur.TrainAUC)
-	if len(bad) > 0 {
-		for _, m := range bad {
-			fmt.Fprintln(os.Stderr, "benchdiff FAIL:", m)
-		}
-		return fmt.Errorf("%d structural regression(s) against %s", len(bad), baselinePath)
-	}
-	fmt.Println("benchdiff: no regressions")
-	return nil
-}
-
-// runComms runs the distributed communication study: the bench on the
-// simulated cluster, the per-node ledger table, and the machine-readable
-// report (whose comms section the benchdiff gate can later pin).
+// runComms runs the distributed communication study: the cluster-totals
+// and per-node ledger tables, and the ledger as JSON.
 func runComms(sc experiments.Scale, out string) error {
-	rep, ledger, tb, err := experiments.Comms(sc)
+	ledger, tb, err := experiments.Comms(sc)
 	if err != nil {
 		return err
 	}
-	rep.Date = time.Now().Format("2006-01-02")
 	fmt.Println(tb.String())
 	if err := ledger.WriteTable(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Println()
-	if err := rep.WriteFile(out); err != nil {
+	if err := experiments.WriteJSON(out, ledger); err != nil {
 		return err
 	}
 	fmt.Printf("comms report written to %s\n", out)
-	return nil
-}
-
-// runBench runs the bench experiment and prints its summary; with
-// -bench-out it also writes the machine-readable report (the file `make
-// baseline` commits as BENCH_baseline.json).
-func runBench(sc experiments.Scale, out string) error {
-	rep, tb, err := experiments.Bench(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tb.String())
-	if out == "" {
-		return nil
-	}
-	rep.Date = time.Now().Format("2006-01-02")
-	if err := rep.WriteFile(out); err != nil {
-		return err
-	}
-	fmt.Printf("bench report written to %s\n", out)
 	return nil
 }

@@ -1,45 +1,44 @@
 package experiments
 
 import (
-	"errors"
-
+	"harpgbdt/internal/boost"
 	"harpgbdt/internal/dist"
 	"harpgbdt/internal/profile"
+	"harpgbdt/internal/synth"
 )
 
-// errNoComms flags a dist bench run that came back without its ledger.
-var errNoComms = errors.New("experiments: distributed bench returned no comms section")
-
-// DefaultCommsNodes is the cluster size of the comms experiment when the
-// scale does not pin one — three nodes is the smallest cluster where the
-// ring allreduce has non-trivial topology (every node has distinct
-// predecessor and successor).
+// DefaultCommsNodes is the cluster size of the comms experiment — three
+// nodes is the smallest cluster where the ring allreduce has non-trivial
+// topology (every node has distinct predecessor and successor).
 const DefaultCommsNodes = 3
 
-// Comms runs the distributed communication study: the throughput benchmark
-// on the simulated cluster (Scale.DistNodes nodes, DefaultCommsNodes when
-// unset), returning the bench report whose comms section carries the
-// per-node message/byte ledger, the ledger itself, and a printable
-// cluster-totals table. The per-node breakdown renders separately via
+// Comms runs the distributed communication study: D8 trees (K=32) trained
+// on the simulated DefaultCommsNodes-node cluster over the Higgs-like
+// dataset. It returns the per-node message/byte ledger and a printable
+// cluster-totals table; the per-node breakdown renders separately via
 // (*dist.CommsReport).WriteTable.
-func Comms(sc Scale) (*BenchReport, *dist.CommsReport, *profile.Table, error) {
-	if sc.DistNodes == 0 {
-		sc.DistNodes = DefaultCommsNodes
-	}
-	rep, _, err := Bench(sc)
+func Comms(sc Scale) (*dist.CommsReport, *profile.Table, error) {
+	sc = sc.withDefaults()
+	ds, err := makeData(sc, synth.HiggsLike)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if rep.Comms == nil {
-		// Bench always attaches the ledger on the dist path; reaching here
-		// means the wiring broke, not the run.
-		return nil, nil, nil, errNoComms
+	dt, err := dist.NewTrainer(dist.Config{
+		Nodes: DefaultCommsNodes, WorkersPerNode: sc.Workers,
+		TreeSize: 8, K: 32, Params: params(),
+	}, ds)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := rep.Comms.Conserved(); err != nil {
-		return nil, nil, nil, err
+	if _, err := boost.Train(dt, ds, boost.Config{Rounds: sc.Rounds}, nil, nil); err != nil {
+		return nil, nil, err
 	}
-	ct := rep.Comms.Totals
-	tb := profile.NewTable("Distributed comms: "+rep.Engine+" on "+rep.Dataset,
+	rep := dt.CommsReport()
+	if err := rep.Conserved(); err != nil {
+		return nil, nil, err
+	}
+	ct := rep.Totals
+	tb := profile.NewTable("Distributed comms: "+dt.Name()+" on "+ds.Name,
 		"metric", "value")
 	tb.AddRow("nodes", ct.Nodes)
 	tb.AddRow("rounds", ct.Rounds)
@@ -51,5 +50,5 @@ func Comms(sc Scale) (*BenchReport, *dist.CommsReport, *profile.Table, error) {
 	tb.AddRow("lost MB", float64(ct.LostBytes)/1e6)
 	tb.AddRow("retries", ct.Retries)
 	tb.AddRow("step ms (virtual)", float64(ct.StepNanos)/1e6)
-	return rep, rep.Comms, tb, nil
+	return rep, tb, nil
 }

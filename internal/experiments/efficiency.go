@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"harpgbdt/internal/core"
 	"harpgbdt/internal/grow"
@@ -35,15 +33,6 @@ type EfficiencyReport struct {
 	Rows    int             `json:"rows"`
 	Rounds  int             `json:"rounds"`
 	Runs    []EfficiencyRun `json:"runs"`
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *EfficiencyReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Run returns the named run (nil when absent).

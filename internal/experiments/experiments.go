@@ -7,7 +7,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -42,15 +44,6 @@ type Scale struct {
 	RealThreads bool
 	// Seed makes datasets deterministic.
 	Seed uint64
-	// Perf enables the per-worker wait-state profiler (internal/perf) for
-	// experiments that can attach it (Bench); the Efficiency experiment
-	// always enables it.
-	Perf bool
-	// DistNodes > 0 switches Bench to the simulated distributed trainer
-	// (internal/dist) with that many cluster nodes; the report then carries
-	// a comms section (per-node message/byte ledger). 0 keeps the
-	// single-node ASYNC engine.
-	DistNodes int
 }
 
 func (s Scale) withDefaults() Scale {
@@ -221,3 +214,13 @@ func ratio(base, x time.Duration) float64 {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// WriteJSON writes a report (the efficiency sweep's, the comms ledger) as
+// indented JSON.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}

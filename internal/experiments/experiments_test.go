@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"harpgbdt/internal/boost"
-	"harpgbdt/internal/profile"
 )
 
 // tinyScale keeps every experiment under a second or two.
@@ -14,20 +13,12 @@ func tinyScale() Scale {
 	return Scale{Rows: 1000, Rounds: 1, ConvRounds: 8, Seed: 7}
 }
 
-// smokeScale is the scale TestAllExperimentsRun gives an experiment:
-// tinyScale, cut further for the two widest sweeps — fig10 trains 33
-// builders and fig16 twelve convergence runs — since the test asserts
-// only that the tables render; at tinyScale these two alone take longer
-// than the rest of the package.
-func smokeScale(name string) Scale {
-	sc := tinyScale()
-	switch name {
-	case "fig10":
-		sc.Rows = 300
-	case "fig16":
-		sc.Rows, sc.ConvRounds = 500, 2
-	}
-	return sc
+// smokeScale is the scale TestAllExperimentsRun gives every experiment:
+// the smallest that still reaches all of each one's code (4 virtual
+// workers keep the block and row-partition paths non-trivial), since the
+// test asserts only that the tables render.
+func smokeScale() Scale {
+	return Scale{Rows: 300, Rounds: 1, ConvRounds: 2, Workers: 4, Seed: 7}
 }
 
 func TestNamesAndDispatch(t *testing.T) {
@@ -49,7 +40,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tables, err := Run(name, smokeScale(name))
+			tables, err := Run(name, smokeScale())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,5 +208,3 @@ func TestRatioAndMs(t *testing.T) {
 		t.Fatal("ms")
 	}
 }
-
-var _ = profile.Table{}
