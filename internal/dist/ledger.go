@@ -122,8 +122,8 @@ type CommsTotals struct {
 }
 
 // CommsReport is the serializable ledger snapshot: per-node table,
-// per-round aggregates, cluster totals. It is the `comms` section of the
-// benchmark JSON and the payload of the CLI comms report.
+// per-round aggregates, cluster totals. It is the whole JSON report the
+// comms experiment writes (`experiments -comms-out comms.json comms`).
 type CommsReport struct {
 	Nodes  []NodeComms  `json:"nodes"`
 	Rounds []RoundComms `json:"rounds"`

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -101,11 +100,14 @@ func (c Config) withDefaults() Config {
 
 // request is one admitted /predict call moving through the pipeline.
 type request struct {
-	id   uint64
-	d    *dataset.Dense
-	out  []float64
-	done chan error // buffered(1): the dispatcher never blocks on it
-	enq  time.Time
+	id uint64
+	n  int // rows
+	// cells holds the n rows' cells, row-major, in a cellPool buffer
+	// that runBatch returns to the pool once it has copied them.
+	cells *[]float32
+	out   []float64
+	done  chan error // buffered(1): the dispatcher never blocks on it
+	enq   time.Time
 }
 
 // lane is one batch dispatcher: a worker pool plus per-worker scratch.
@@ -251,12 +253,12 @@ func (s *Service) dispatch(id int, ln *lane) {
 		case first = <-s.queue:
 		}
 		batch := append(make([]*request, 0, 8), first)
-		rows := first.d.N
+		rows := first.n
 		for rows < s.cfg.MaxBatchRows {
 			select {
 			case r := <-s.queue:
 				batch = append(batch, r)
-				rows += r.d.N
+				rows += r.n
 			default:
 				rows = s.cfg.MaxBatchRows // full: stop coalescing
 			}
@@ -282,15 +284,16 @@ func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 		s.queueLatency.Observe(asmStart.Sub(r.enq).Seconds())
 		obs.SpanAt(traceCat, "queue-wait", ServingPID, 0, s.ts(r.enq), asmStart.Sub(r.enq).Nanoseconds())
 		obs.FlowEndAt(traceCat, "req", ServingPID, tid, s.ts(asmStart), r.id)
-		rows += r.d.N
+		rows += r.n
 	}
 	k := s.flat.NumClass()
 	d := dataset.NewDense(rows, s.flat.numFeatures)
 	out := make([]float64, rows*k)
 	at := 0
 	for _, r := range batch {
-		copy(d.Values[at*d.M:], r.d.Values)
-		at += r.d.N
+		copy(d.Values[at*d.M:], *r.cells)
+		at += r.n
+		cellPool.Put(r.cells)
 	}
 	asmDur := time.Since(asmStart)
 	obs.SpanAt(traceCat, "batch-assembly", ServingPID, tid, s.ts(asmStart), asmDur.Nanoseconds(),
@@ -311,33 +314,21 @@ func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 
 	at = 0
 	for _, r := range batch {
-		copy(r.out, out[at*k:(at+r.d.N)*k])
-		at += r.d.N
+		copy(r.out, out[at*k:(at+r.n)*k])
+		at += r.n
 		r.done <- nil
 		s.log.Debug("request served",
-			obs.KeyReq, r.id, obs.KeyBatch, batchID, obs.KeyRows, r.d.N)
+			obs.KeyReq, r.id, obs.KeyBatch, batchID, obs.KeyRows, r.n)
 	}
 	s.log.Debug("batch complete",
 		obs.KeyBatch, batchID, obs.KeyRows, rows, obs.KeyWorker, laneID)
 }
 
-// predictPayload is the /predict request body.
-type predictPayload struct {
-	Rows [][]float32 `json:"rows"`
-}
-
-// predictResponse is the /predict response body: Predictions for
-// single-output models, Probabilities (one row per input) for
-// multiclass.
-type predictResponse struct {
-	Req           uint64      `json:"req"`
-	Predictions   []float64   `json:"predictions,omitempty"`
-	Probabilities [][]float64 `json:"probabilities,omitempty"`
-}
-
-// ServeHTTP implements POST /predict: JSON rows in, predictions out,
-// 413 for a body over the size limit, 429 when the admission queue is
-// full, 503 when shutting down.
+// ServeHTTP implements POST /predict: JSON rows in, predictions out (the
+// wire format is described in codec.go), 400 for a body that is not
+// that format, 413 for a body over the size limit, 429 when the
+// admission queue is full, 500 for a score JSON cannot carry, 503 when
+// shutting down.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -347,42 +338,41 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	var p predictPayload
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&p); err != nil {
+	bp := bodyPool.Get().(*[]byte)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), *bp)
+	cp := cellPool.Get().(*[]float32)
+	n := 0
+	if err == nil {
+		*cp, n, err = decodeRows(body, s.flat.NumFeatures(), (*cp)[:0])
+		if err == nil && n == 0 {
+			err = errors.New("no rows")
+		}
+	}
+	*bp = body
+	bodyPool.Put(bp)
+	if err != nil {
+		cellPool.Put(cp)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			http.Error(w, fmt.Sprintf("request body over %d bytes", s.maxBody), http.StatusRequestEntityTooLarge)
-			return
+		} else {
+			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		}
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
-	}
-	n := len(p.Rows)
-	if n == 0 {
-		http.Error(w, "no rows", http.StatusBadRequest)
-		return
-	}
-	m := s.flat.NumFeatures()
-	d := dataset.NewDense(n, m)
-	for i, row := range p.Rows {
-		if len(row) != m {
-			http.Error(w, fmt.Sprintf("row %d has %d features, model expects %d", i, len(row), m),
-				http.StatusBadRequest)
-			return
-		}
-		copy(d.Values[i*m:], row)
 	}
 	k := s.flat.NumClass()
 	req := &request{
-		id:   s.reqSeq.Add(1),
-		d:    d,
-		out:  make([]float64, n*k),
-		done: make(chan error, 1),
-		enq:  time.Now(),
+		id:    s.reqSeq.Add(1),
+		n:     n,
+		cells: cp,
+		out:   make([]float64, n*k),
+		done:  make(chan error, 1),
+		enq:   time.Now(),
 	}
 	select {
 	case s.queue <- req:
 	default:
+		cellPool.Put(cp)
 		s.rejected.Inc()
 		s.log.Warn("request rejected: queue full", obs.KeyRows, n)
 		http.Error(w, "queue full", http.StatusTooManyRequests)
@@ -391,7 +381,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.queueDepth.Set(float64(len(s.queue)))
 	obs.FlowStartAt(traceCat, "req", ServingPID, 0, s.ts(req.enq), req.id)
-	var err error
 	select {
 	case err = <-req.done:
 	case <-s.stop:
@@ -413,17 +402,20 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	lat := time.Since(req.enq)
 	s.reqLatency.Observe(lat.Seconds())
-	resp := predictResponse{Req: req.id}
-	if k == 1 {
-		resp.Predictions = req.out
-	} else {
-		resp.Probabilities = make([][]float64, n)
-		for i := 0; i < n; i++ {
-			resp.Probabilities[i] = req.out[i*k : (i+1)*k]
-		}
+	rp := respPool.Get().(*[]byte)
+	defer respPool.Put(rp)
+	*rp, err = appendResponse((*rp)[:0], req.id, req.out, k)
+	if err != nil {
+		s.errCount.Inc()
+		s.log.Warn("request failed", obs.KeyReq, req.id, obs.KeyError, err.Error())
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	if _, err := w.Write(*rp); err != nil {
+		s.log.Warn("response not sent", obs.KeyReq, req.id, obs.KeyError, err.Error())
+		return
+	}
 	s.log.Info("request ok",
 		obs.KeyReq, req.id, obs.KeyRows, n, "latency_us", lat.Microseconds())
 }

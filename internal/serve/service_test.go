@@ -30,6 +30,20 @@ func trainFlat(t *testing.T) *Flat {
 	return flat
 }
 
+// predictPayload is the /predict request body as encoding/json sees it.
+type predictPayload struct {
+	Rows [][]float32 `json:"rows"`
+}
+
+// predictResponse is the /predict response body: Predictions for
+// single-output models, Probabilities (one row per input) for
+// multiclass.
+type predictResponse struct {
+	Req           uint64      `json:"req"`
+	Predictions   []float64   `json:"predictions,omitempty"`
+	Probabilities [][]float64 `json:"probabilities,omitempty"`
+}
+
 func postPredict(t *testing.T, url string, rows [][]float32) (*http.Response, predictResponse) {
 	t.Helper()
 	body, _ := json.Marshal(predictPayload{Rows: rows})
