@@ -468,6 +468,11 @@ func cmdServe(args []string) error {
 	}
 	harpgbdt.SetDefaultLogger(lg)
 	defer harpgbdt.SetDefaultLogger(nil)
+	// Catch the signals before armServe announces the address: a client
+	// that reads it may signal at once.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	srv, svc, err := armServe(*modelPath, *addr, harpgbdt.ServeConfig{
 		QueueDepth: *queue, MaxBatchRows: *batch, Lanes: *lanes, Workers: *workers,
 	})
@@ -476,8 +481,6 @@ func cmdServe(args []string) error {
 	}
 	defer svc.Close()
 	defer srv.Close()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
 	return nil
