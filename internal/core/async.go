@@ -101,13 +101,21 @@ func (r *asyncRun) worker(worker int) {
 
 // claim is critical section 1: pop the best candidate and reserve its
 // leaf. ok means claimed: x comes back expanded, its children allocated
-// but not yet in the tree, and final if it took the last leaf. done means the tree is finished: leaf budget
-// spent, or nothing queued and nothing in flight. Neither means the queue
-// is empty but in-flight nodes may still publish children.
+// but not yet in the tree, and final if it took the last leaf. done means
+// the tree is finished: leaf budget spent, or nothing queued and nothing
+// in flight. Neither means the queue is empty but in-flight nodes may
+// still publish children.
+//
+// A claim spends one leaf of the budget, so it also releases the
+// histograms of the queued nodes now ranked at or below what is left
+// (Builder.releaseUnreachable's rule). Inside the section it only marks
+// and links them; the Puts run after it, by this worker alone, since no
+// claim can reach a marked node and none marks it again.
 func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
 	st := r.st
 	var c grow.Candidate
-	var parent *nodeState
+	var parent, unreachable *nodeState
+	var beyond []grow.Candidate
 	var queued int
 	var final bool
 	cur.To(perf.SpinWait)
@@ -119,12 +127,20 @@ func (r *asyncRun) claim(cur *perf.Cursor) (x expansion, ok, done bool) {
 		st.leaves++
 		final = st.leaves >= r.maxLeaves
 		parent = st.nodes[c.NodeID]
-		queued = st.queue.Len() //harplint:ignore spinscope -- the queue is the guarded structure
+		queued, beyond = st.queue.Len(), st.queue.Beyond(r.maxLeaves-st.leaves) //harplint:ignore spinscope -- the queue is the guarded structure
+		for _, u := range beyond {
+			if ns := st.nodes[u.NodeID]; !ns.unreachable {
+				ns.unreachable, ns.next, unreachable = true, unreachable, ns
+			}
+		}
 	} else {
 		done = r.outstanding == 0
 	}
 	r.mu.Unlock()
 	cur.To(perf.Work)
+	for ns := unreachable; ns != nil; ns = ns.next {
+		r.b.releaseHist(ns)
+	}
 	if !ok {
 		return x, false, done
 	}

@@ -122,8 +122,13 @@ func (b *Builder) Profile() *profile.Breakdown { return b.prof }
 // Config returns the builder's configuration (after defaulting).
 func (b *Builder) Config() Config { return b.cfg }
 
-// HistogramsAllocated reports the peak histogram count, a model-memory
-// footprint metric.
+// HistogramsAllocated reports the most histogram slabs the builder has
+// held at once — in use, or idle in its pool between two nodes of a tree —
+// a model-memory footprint metric. Every tree hands its idle slabs back
+// when it is done (histogram.Pool.Release), so this is the high-water mark
+// of the largest tree, not a count that grows with the trees built. Within
+// a tree it stays within the bound DESIGN.md gives in K, W, the node block
+// and the remaining leaf budget.
 func (b *Builder) HistogramsAllocated() int { return b.hpool.Allocated() }
 
 // Perf returns the per-worker wait-state ledger (nil unless Config.Perf).
@@ -138,6 +143,11 @@ type nodeState struct {
 	count  int32
 	hist   *histogram.Hist
 	split  tree.SplitInfo
+	// unreachable marks a queued node that an ASYNC claim found ranked
+	// beyond the leaf budget, and next links it into that claim's list of
+	// histograms to release (see asyncRun.claim).
+	unreachable bool
+	next        *nodeState
 }
 
 // newNode returns the state of a node with the given gradient totals; the
@@ -236,7 +246,8 @@ func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 	}
 	xs := b.applySplitBatch(st, batch)
 	st.leaves += len(batch)
-	if st.leaves >= b.cfg.MaxLeaves() {
+	if b.remainingLeaves(st) <= 0 {
+		// Every child would rank at or below a budget of 0.
 		for i := range xs {
 			xs[i].final = true
 		}
@@ -250,6 +261,7 @@ func (b *Builder) processBatch(st *buildState, batch []grow.Candidate) {
 			}
 		}
 	}
+	b.releaseUnreachable(st)
 	if b.acc != nil && len(batch) > 0 {
 		// Per-depth synchronization count: the barriers this batch cost,
 		// attributed to the deepest node in it (the paper's O(2^D)
@@ -619,6 +631,22 @@ func candidate(id int32, ns *nodeState, depth int32) grow.Candidate {
 	return grow.Candidate{NodeID: id, Gain: ns.split.Gain, Depth: depth, Count: ns.count}
 }
 
+// remainingLeaves is the leaf budget the tree has left: the number of
+// pops still to come, since each one turns a leaf into two.
+func (b *Builder) remainingLeaves(st *buildState) int {
+	return b.cfg.MaxLeaves() - st.leaves
+}
+
+// releaseUnreachable releases the histograms of the queued candidates
+// ranked at or below the remaining budget (the best ranks 0): no more than
+// that many pops are left, and a push only ranks a queued candidate lower,
+// so they stay leaves and nothing reads their histograms again.
+func (b *Builder) releaseUnreachable(st *buildState) {
+	for _, c := range st.queue.Beyond(b.remainingLeaves(st)) {
+		b.releaseHist(st.nodes[c.NodeID])
+	}
+}
+
 // drainQueue finalizes all still-queued candidates as leaves.
 func (b *Builder) drainQueue(st *buildState) {
 	for {
@@ -677,7 +705,9 @@ func (b *Builder) findSplitBatch(xs []expansion) {
 	}
 }
 
-// finish assembles the BuiltTree and releases remaining resources.
+// finish assembles the BuiltTree and releases remaining resources: the
+// histogram slabs go back to the cache all pools share, so they outlive no
+// tree.
 func (b *Builder) finish(st *buildState) *engine.BuiltTree {
 	leafRows := make(map[int32]engine.RowSet)
 	for id := range st.nodes {
@@ -688,6 +718,7 @@ func (b *Builder) finish(st *buildState) *engine.BuiltTree {
 		}
 		ns.rows = engine.RowSet{}
 	}
+	b.hpool.Release()
 	leafOf := engine.ScatterLeaves(b.ds.NumRows(), leafRows)
 	return &engine.BuiltTree{Tree: st.t, LeafOf: leafOf}
 }

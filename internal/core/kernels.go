@@ -118,7 +118,9 @@ func (b *Builder) fill(st *buildState, ns *nodeState, fb int, br binRange) {
 // accumulated over ⟨node, row block, feature block⟩ tasks, then reduced.
 // node_blk_size nodes share one parallel region, so the region (barrier)
 // count is ceil(len(ids)/node_blk_size) accumulation regions plus as many
-// reduction regions.
+// reduction regions. Worker 0's replica is the node's own histogram: the
+// reduce adds the others to it in worker order, which sums what adding a
+// zeroed replica 0 first did (+0 + x == x), with one slab fewer per node.
 func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 	nodeBlk := b.cfg.NodeBlockSize
 	workers := b.pool.Workers()
@@ -134,19 +136,19 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 			end = len(ids)
 		}
 		group := ids[g:end]
-		for _, id := range group {
-			// The reduce target: every replica is added into all of it.
+		replicas := make([][]*histogram.Hist, workers)
+		for w := range replicas {
+			replicas[w] = make([]*histogram.Hist, len(group))
+		}
+		for gi, id := range group {
+			// The reduce target, and worker 0's replica.
 			h := b.hpool.Get()
 			if invariant.Enabled {
 				invariant.HistCellSet(h, 0, b.layout.M, "core.buildHistDP")
 			}
 			h.Reset()
-			st.nodes[id].hist = h
+			st.nodes[id].hist, replicas[0][gi] = h, h
 			mBuildHistRows.Add(int64(st.nodes[id].rows.Len()))
-		}
-		replicas := make([][]*histogram.Hist, workers)
-		for w := range replicas {
-			replicas[w] = make([]*histogram.Hist, len(group))
 		}
 		var tasks []func(int)
 		for gi, id := range group {
@@ -194,7 +196,7 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 				gi, lo, hi, target := gi, lo, hi, target
 				rtasks = append(rtasks, func(rw int) {
 					tsp := obs.StartSpanTID("block-task", "hist-reduce", rw+1)
-					for w := 0; w < workers; w++ {
+					for w := 1; w < workers; w++ {
 						if rep := replicas[w][gi]; rep != nil {
 							target.AddRange(rep, lo, hi)
 						}
@@ -204,8 +206,8 @@ func (b *Builder) buildHistDP(st *buildState, ids []int32) {
 			}
 		}
 		b.pool.RunTasks(rtasks)
-		for w := range replicas {
-			for _, rep := range replicas[w] {
+		for _, reps := range replicas[1:] {
+			for _, rep := range reps {
 				if rep != nil {
 					b.hpool.Put(rep)
 				}

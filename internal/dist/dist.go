@@ -294,6 +294,11 @@ func (t *Trainer) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 		for _, id := range evalIDs {
 			t.pushOrFinalize(st, id)
 		}
+		// No more pops than leaves are left, and a push only ranks a queued
+		// candidate lower: those ranked at or below the budget stay leaves.
+		for _, c := range st.queue.Beyond(maxLeaves - st.leaves) {
+			t.releaseHist(st.states[c.NodeID])
+		}
 	}
 	for {
 		c, ok := st.queue.Pop()
@@ -302,6 +307,7 @@ func (t *Trainer) BuildTree(grad gh.Buffer) (*engine.BuiltTree, error) {
 		}
 		t.releaseHist(st.states[c.NodeID])
 	}
+	t.hpool.Release()
 	leafOf := make([]int32, n)
 	for id := range st.states {
 		if !tr.Nodes[id].IsLeaf() {

@@ -8,6 +8,7 @@ package grow
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 
 	"harpgbdt/internal/invariant"
 )
@@ -50,6 +51,8 @@ type Queue struct {
 	method Method
 	h      candHeap
 	seq    int64
+	// ranked is Beyond's buffer: the queue sorted by the policy.
+	ranked candHeap
 }
 
 // NewQueue returns an empty queue with the given ordering.
@@ -104,6 +107,21 @@ func (q *Queue) PopBatch(k int) []Candidate {
 		invariant.GainsMonotone(gains, "grow.PopBatch")
 	}
 	return out
+}
+
+// Beyond returns the queued candidates ranked r-th or lower, counting the
+// best as 0 — the ones r more pops cannot reach, whatever is pushed in
+// between, since a push never ranks a queued candidate higher — best
+// first. The slice is the queue's own buffer, valid until the next call;
+// the queue itself is unchanged.
+func (q *Queue) Beyond(r int) []Candidate {
+	if r >= len(q.h.items) {
+		return nil
+	}
+	q.ranked.method = q.method
+	q.ranked.items = append(q.ranked.items[:0], q.h.items...)
+	sort.Sort(&q.ranked)
+	return q.ranked.items[max(r, 0):]
 }
 
 type candHeap struct {

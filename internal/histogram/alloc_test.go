@@ -83,7 +83,7 @@ func TestKernelAllocsPinnedAtZero(t *testing.T) {
 
 // TestPoolSteadyStateAllocFree: after warm-up, the Get/Put cycle recycles
 // without touching the heap (the free-list append reuses its backing
-// array).
+// array), and so does a tree's Get/Put/Release through the shared cache.
 func TestPoolSteadyStateAllocFree(t *testing.T) {
 	skipIfInstrumented(t)
 	_, layout, _ := makeFixture(64, 4, 8, 3)
@@ -96,7 +96,13 @@ func TestPoolSteadyStateAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("steady-state Get/Put allocates %.1f times per run", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.Put(p.Get())
+		p.Release()
+	}); allocs != 0 {
+		t.Errorf("steady-state Get/Put/Release allocates %.1f times per run", allocs)
+	}
 	if p.Allocated() != 1 {
-		t.Errorf("pool allocated %d histograms, want 1", p.Allocated())
+		t.Errorf("pool held %d histograms at once, want 1", p.Allocated())
 	}
 }

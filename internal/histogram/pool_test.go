@@ -2,6 +2,8 @@ package histogram
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -46,7 +48,7 @@ func TestPool(t *testing.T) {
 		t.Fatal("pool returned the same histogram twice")
 	}
 	if p.Allocated() != 2 {
-		t.Fatalf("allocated = %d", p.Allocated())
+		t.Fatalf("%d histograms held at once, want 2", p.Allocated())
 	}
 	p.Put(nil) // must not panic
 }
@@ -76,8 +78,8 @@ func TestPoolDoublePutPanics(t *testing.T) {
 // TestPoolConcurrentGetPut hammers the spin-mutex-guarded free list from
 // many goroutines (run under -race by the race-sanitize target) and checks
 // the two properties the ASYNC mode needs from the pool: no buffer is
-// handed to two owners at once, and the allocation count stays bounded by
-// the peak number of simultaneously held buffers.
+// handed to two owners at once, and the high-water mark of buffers held
+// stays bounded by the peak simultaneous demand.
 func TestPoolConcurrentGetPut(t *testing.T) {
 	const (
 		workers = 8
@@ -134,6 +136,127 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 		t.Errorf("%d buffers never returned to the pool", len(owned))
 	}
 	if got, max := p.Allocated(), workers*held; got > max {
-		t.Errorf("pool allocated %d histograms; peak simultaneous demand is %d", got, max)
+		t.Errorf("pool held %d histograms at once; peak simultaneous demand is %d", got, max)
 	}
+}
+
+// skipIfRace skips a test that needs a Put to the shared cache to stick:
+// under the race detector sync.Pool drops a random quarter of them.
+func skipIfRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+}
+
+// TestPoolReleaseSharesSlabs: after Release, a second pool on the layout
+// gets the first pool's slabs back instead of allocating. The GC is off
+// for the test, since the shared cache gives idle slabs to it by design.
+func TestPoolReleaseSharesSlabs(t *testing.T) {
+	skipIfRace(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	layout := layoutOf(3, 9, 1, 250, 17, 4, 64) // a width no other test uses
+	p1, p2 := NewPool(layout), NewPool(layout)
+	mine := map[*Hist]bool{}
+	var hs []*Hist
+	for i := 0; i < 3; i++ {
+		h := p1.Get()
+		mine[h] = true
+		hs = append(hs, h)
+	}
+	for _, h := range hs {
+		p1.Put(h)
+	}
+	p1.Release()
+	for i := 0; i < 3; i++ {
+		if h := p2.Get(); !mine[h] {
+			t.Fatalf("Get %d after Release allocated instead of taking a released slab", i)
+		}
+	}
+	if p2.made.Load() != 0 {
+		t.Fatalf("the second pool allocated %d slabs", p2.made.Load())
+	}
+	// Release returned p1's idle slabs; its high-water mark stays.
+	if p1.Allocated() != 3 || p2.Allocated() != 3 {
+		t.Fatalf("held at once: %d and %d, want 3 and 3", p1.Allocated(), p2.Allocated())
+	}
+}
+
+// TestPoolReleasedSlabsReclaimable: a released slab that nobody takes is
+// the GC's after two cycles, so a process that stops training gives the
+// memory back; the next Get allocates.
+func TestPoolReleasedSlabsReclaimable(t *testing.T) {
+	layout := layoutOf(5, 2, 33, 7, 100, 8, 12, 3) // a width no other test uses
+	p1, p2 := NewPool(layout), NewPool(layout)
+	p1.Put(p1.Get())
+	p1.Release()
+	runtime.GC()
+	runtime.GC()
+	p2.Get()
+	if got := p2.made.Load(); got != 1 {
+		t.Fatalf("Get after two GC cycles allocated %d slabs, want 1", got)
+	}
+}
+
+// TestPoolRebindsLayout: a slab from the cache serves a layout of the same
+// width with different bin counts, rebound to it.
+func TestPoolRebindsLayout(t *testing.T) {
+	skipIfRace(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a, b := layoutOf(10, 20, 30, 40, 50, 60), layoutOf(60, 50, 40, 30, 20, 10)
+	pa, pb := NewPool(a), NewPool(b)
+	h := pa.Get()
+	h.Reset()
+	h.Data[a.Index(0, 9)] = gh.Pair{G: 1, H: 1}
+	pa.Put(h)
+	pa.Release()
+	g := pb.Get()
+	if g != h || g.Layout != b {
+		t.Fatalf("got %p with layout %p; want the released slab %p rebound to %p", g, g.Layout, h, b)
+	}
+	g.Reset()
+	if f, bin, ok := g.StrayCell(0, b.M); ok {
+		t.Fatalf("cell (%d, %d) not +0 after Reset", f, bin)
+	}
+}
+
+// TestPoolsShareCacheConcurrently: pools on one layout, each driven by its
+// own goroutine through Get, Put and Release as a builder's trees do, never
+// hand one slab to two owners at once through the shared cache.
+func TestPoolsShareCacheConcurrently(t *testing.T) {
+	const pools, trees, held = 4, 100, 3
+	layout := layoutOf(6, 6, 6, 6, 6, 6, 6, 6, 6) // a width no other test uses
+	var ownedMu sync.Mutex
+	owned := make(map[*Hist]int)
+	var wg sync.WaitGroup
+	wg.Add(pools)
+	for w := 0; w < pools; w++ {
+		go func(w int) {
+			defer wg.Done()
+			p := NewPool(layout)
+			for i := 0; i < trees; i++ {
+				var hs [held]*Hist
+				for j := range hs {
+					hs[j] = p.Get()
+					ownedMu.Lock()
+					if prev, dup := owned[hs[j]]; dup {
+						t.Errorf("one slab held by pools %d and %d at once", prev, w)
+					}
+					owned[hs[j]] = w
+					ownedMu.Unlock()
+					hs[j].Data[0].G += float64(w) // write to the owned slab
+				}
+				ownedMu.Lock()
+				for _, h := range hs {
+					delete(owned, h)
+				}
+				ownedMu.Unlock()
+				for _, h := range hs {
+					p.Put(h)
+				}
+				p.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

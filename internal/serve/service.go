@@ -115,6 +115,12 @@ type lane struct {
 	pool    *sched.Pool
 	scratch []*Scratch
 	acct    *perf.Accounting
+	// batch, x and out hold one batch's requests, rows and scores. Only
+	// the lane's goroutine touches them, and they grow to the largest
+	// batch seen, so a warm batch allocates nothing that scales with it.
+	batch []*request
+	x     dataset.Dense
+	out   []float64
 }
 
 // Service owns a compiled model and serves it over HTTP: bounded-queue
@@ -252,7 +258,7 @@ func (s *Service) dispatch(id int, ln *lane) {
 			return
 		case first = <-s.queue:
 		}
-		batch := append(make([]*request, 0, 8), first)
+		batch := append(ln.batch[:0], first)
 		rows := first.n
 		for rows < s.cfg.MaxBatchRows {
 			select {
@@ -268,13 +274,15 @@ func (s *Service) dispatch(id int, ln *lane) {
 		}
 		s.queueDepth.Set(float64(len(s.queue)))
 		s.runBatch(id, ln, batch)
+		clear(batch) // the served requests are garbage now
+		ln.batch = batch[:0]
 	}
 }
 
 // runBatch assembles the coalesced requests into one contiguous matrix,
 // runs the kernel across the lane's pool, and scatters results back.
-// Assembly allocates (outside the pinned kernel); the kernel itself is
-// allocation-free.
+// The matrix and the scores live in the lane's buffers; the kernel itself
+// is allocation-free.
 func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 	batchID := s.batchSeq.Add(1)
 	asmStart := time.Now()
@@ -286,9 +294,16 @@ func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 		obs.FlowEndAt(traceCat, "req", ServingPID, tid, s.ts(asmStart), r.id)
 		rows += r.n
 	}
-	k := s.flat.NumClass()
-	d := dataset.NewDense(rows, s.flat.numFeatures)
-	out := make([]float64, rows*k)
+	k, m := s.flat.NumClass(), s.flat.numFeatures
+	if cap(ln.x.Values) < rows*m {
+		ln.x.Values = make([]float32, rows*m)
+	}
+	if cap(ln.out) < rows*k {
+		ln.out = make([]float64, rows*k)
+	}
+	d := &ln.x
+	d.N, d.M, d.Values = rows, m, d.Values[:rows*m]
+	out := ln.out[:rows*k]
 	at := 0
 	for _, r := range batch {
 		copy(d.Values[at*d.M:], *r.cells)

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -345,5 +348,67 @@ func TestServiceMulticlassResponse(t *testing.T) {
 				t.Fatalf("row %d class %d: %v != %v", i, c, pr.Probabilities[i][c], out[c])
 			}
 		}
+	}
+}
+
+// TestRunBatchAllocationFlat: a warm runBatch allocates as many bytes for a
+// 256-row batch as for a 16-row one, because the batch's matrix and scores
+// live in the lane, grown to the largest batch seen. What is left per
+// batch is fixed: the kernel closure and the boxed trace and log
+// arguments. Those differ by one 8-byte box per row-count argument, since
+// Go boxes integers up to 255 without allocating (the warm-up takes the
+// batch counter past that); the bound is set above that, far below the
+// 28 kB that 240 more rows cost a matrix.
+func TestRunBatchAllocationFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	flat := trainFlat(t)
+	s, err := NewService(flat, Config{Lanes: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // the lane's dispatcher exits; runBatch is driven from here
+	ln, m, k := s.lanes[0], flat.NumFeatures(), flat.NumClass()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep cellPool's buffers
+	perBatch := func(rows int) float64 {
+		cells := make([]float32, rows*m)
+		for i := range cells {
+			cells[i] = float32(i%7) - 3
+		}
+		req := &request{n: rows, out: make([]float64, rows*k), done: make(chan error, 1)}
+		batch := []*request{req}
+		run := func() {
+			cp := cellPool.Get().(*[]float32)
+			*cp = append((*cp)[:0], cells...)
+			req.cells = cp
+			s.runBatch(0, ln, batch)
+			if err := <-req.done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			run() // warm: the lane's buffers, the pooled cells, the batch counter
+		}
+		// The least of three windows: now and then the harness's
+		// cellPool.Get runs on another P than the Put before it, misses,
+		// and allocates a buffer of the batch's size.
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const calls = 1000
+			for i := 0; i < calls; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/calls)
+		}
+		return least
+	}
+	small, large := perBatch(16), perBatch(256)
+	t.Logf("a warm runBatch allocates %.0f bytes for 16 rows and %.0f for 256", small, large)
+	if large-small > 64 {
+		t.Errorf("a warm runBatch allocates %.0f bytes for 16 rows and %.0f for 256", small, large)
 	}
 }
