@@ -1,6 +1,7 @@
 package grow
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -175,6 +176,33 @@ func TestInterleavedPushPop(t *testing.T) {
 		c, _ := q.Pop()
 		if c.NodeID != w {
 			t.Fatalf("got %d want %d", c.NodeID, w)
+		}
+	}
+}
+
+// TestBeyond: Beyond lists the candidates ranked r-th or lower, best
+// first, under either policy, and leaves the queue's pop order alone.
+func TestBeyond(t *testing.T) {
+	for _, m := range []Method{Leafwise, Depthwise} {
+		q := NewQueue(m)
+		for i, g := range []float64{3, 9, 1, 9, 5, 7} {
+			q.Push(Candidate{NodeID: int32(i), Gain: g, Depth: int32(i % 3)})
+		}
+		if got := q.Beyond(q.Len()); got != nil {
+			t.Fatalf("%v: Beyond(Len) = %v, want none", m, got)
+		}
+		var beyond []int32
+		for _, c := range q.Beyond(2) {
+			beyond = append(beyond, c.NodeID)
+		}
+		all := len(q.Beyond(0))
+		var popped []int32
+		for q.Len() > 0 {
+			c, _ := q.Pop()
+			popped = append(popped, c.NodeID)
+		}
+		if all != len(popped) || fmt.Sprint(beyond) != fmt.Sprint(popped[2:]) {
+			t.Errorf("%v: Beyond(2) = %v, Beyond(0) has %d; pops after the first two: %v", m, beyond, all, popped[2:])
 		}
 	}
 }
