@@ -66,13 +66,17 @@ func TestSpinDurationRecorded(t *testing.T) {
 	ResetSpinStats()
 	var m SpinMutex
 	m.Lock()
-	acquired := make(chan struct{})
+	started, acquired := make(chan struct{}), make(chan struct{})
 	go func() {
+		close(started)
 		m.Lock() // blocks until the holder releases
 		m.Unlock()
 		close(acquired)
 	}()
-	// Hold long enough that the contender measurably spins.
+	// Hold long enough that the contender, once running, measurably
+	// spins: on a loaded box a goroutine can take longer than the hold
+	// to be scheduled at all.
+	<-started
 	time.Sleep(2 * time.Millisecond)
 	m.Unlock()
 	<-acquired
