@@ -115,9 +115,12 @@ type Config struct {
 	// deterministically from it).
 	Seed uint64
 	// Virtual runs the engine on the simulated parallel machine
-	// (sched.NewVirtualPool): kernels execute serially and a deterministic
-	// discrete-event simulation computes the parallel timing. This is the
-	// substitute for the paper's 36-core Xeon on hosts with few cores.
+	// (sched.NewVirtualPool): kernels execute serially, and a
+	// list-scheduling replay of their measured times computes the parallel
+	// timing. The times are clock readings, so the replayed schedule, and
+	// with it the order in which virtual ASYNC workers claim nodes, can
+	// differ from run to run. This is the substitute for the paper's
+	// 36-core Xeon on hosts with few cores.
 	Virtual bool
 	// Perf enables the per-worker wait-state accounting (internal/perf):
 	// the builder attaches a perf.Accounting to its pool and attributes

@@ -48,7 +48,7 @@ type HotRoot struct {
 
 // DefaultHotRoots returns the module's kernel roots: the histogram
 // accumulation, reduction, subtraction, zeroing and split-finding kernels,
-// and the core builder's per-block accumulate driver.
+// the core builder's per-block accumulate driver, and the scoring kernel.
 func DefaultHotRoots() []HotRoot {
 	return []HotRoot{
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Accumulate"},
@@ -61,6 +61,7 @@ func DefaultHotRoots() []HotRoot {
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Cover"},
 		{PkgSuffix: "internal/histogram", Recv: "Hist", NamePrefix: "Reset"},
 		{PkgSuffix: "internal/core", Recv: "Builder", NamePrefix: "accumulate"},
+		{PkgSuffix: "internal/serve", Recv: "Flat", NamePrefix: "PredictRangeInto"},
 	}
 }
 

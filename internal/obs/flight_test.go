@@ -176,6 +176,25 @@ func TestLoggerOutputJSON(t *testing.T) {
 	}
 }
 
+// TestLoggerEnabled: Enabled answers what log would do with the event —
+// the handler's level decides, unless a flight recorder is armed, which
+// takes every level, even through a nil logger.
+func TestLoggerEnabled(t *testing.T) {
+	var nilLogger *Logger
+	info := NewLogger(&bytes.Buffer{}, slog.LevelInfo)
+	if nilLogger.Enabled(slog.LevelError) || NewLogger(nil, slog.LevelDebug).Enabled(slog.LevelError) {
+		t.Fatal("a logger with no output and no recorder reports enabled")
+	}
+	if info.Enabled(slog.LevelDebug) || !info.With(KeyRun, "r").Enabled(slog.LevelInfo) {
+		t.Fatal("Enabled does not follow the handler's level")
+	}
+	ArmFlightRecorder(filepath.Join(t.TempDir(), "flight.json"), 4)
+	defer ArmFlightRecorder("", 0)
+	if !nilLogger.Enabled(slog.LevelDebug) || !info.Enabled(slog.LevelDebug) {
+		t.Fatal("an armed flight recorder does not enable DEBUG")
+	}
+}
+
 func TestLoggerMalformedPairs(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger(&buf, slog.LevelInfo)

@@ -102,16 +102,27 @@ func (l *Logger) Warn(msg string, kv ...any) { l.log(slog.LevelWarn, msg, kv) }
 // Error logs at ERROR level.
 func (l *Logger) Error(msg string, kv ...any) { l.log(slog.LevelError, msg, kv) }
 
+// Enabled reports whether an event at level would be recorded: a flight
+// recorder is armed, or the logger's handler takes the level. A caller
+// whose arguments cost an allocation to pass guards the call with it.
+// Nil-safe.
+func (l *Logger) Enabled(level slog.Level) bool {
+	if defaultFlight.Load() != nil {
+		return true
+	}
+	return l != nil && l.h != nil && l.h.Enabled(context.Background(), level)
+}
+
 func (l *Logger) log(level slog.Level, msg string, kv []any) {
+	if !l.Enabled(level) {
+		return
+	}
 	fr := defaultFlight.Load()
 	var h slog.Handler
 	var bound []slog.Attr
 	if l != nil {
 		h = l.h
 		bound = l.attrs
-	}
-	if fr == nil && (h == nil || !h.Enabled(context.Background(), level)) {
-		return
 	}
 	attrs := argsToAttrs(kv)
 	if fr != nil {

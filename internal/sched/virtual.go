@@ -51,16 +51,19 @@ func ZeroCostModel() CostModel {
 }
 
 // NewVirtualPool returns a pool that simulates `workers`-way parallelism on
-// any physical machine: region bodies execute serially (so measurements are
-// deterministic and undisturbed), and a discrete-event simulation assigns
-// the measured task durations to virtual workers under dynamic
-// self-scheduling, charging the cost model's synthetic overheads. The
-// simulated wall-clock accumulates in VirtualNanos and the usual Stats
-// carry the simulated busy/wait/wall times.
+// any physical machine: region bodies execute serially (so no task
+// disturbs another's measurement), and a list-scheduling replay assigns
+// each task, in order, to the virtual worker whose clock is earliest,
+// advancing that clock by the task's measured time.Since duration plus
+// the cost model's synthetic overheads. The simulated wall-clock
+// accumulates in VirtualNanos and the usual Stats carry the simulated
+// busy/wait/wall times. The durations are real clock readings, so the
+// replayed schedule, the worker index each task runs under, and every
+// figure derived from them can differ from run to run.
 //
 // This is the substitute for the paper's 36-core Xeon: the host running
 // this reproduction may have any number of cores (including one), yet the
-// parallel-efficiency experiments remain meaningful and deterministic.
+// parallel-efficiency experiments remain meaningful.
 func NewVirtualPool(workers int, cost CostModel) *Pool {
 	p := NewPool(workers)
 	if workers <= 0 {

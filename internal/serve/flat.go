@@ -243,22 +243,55 @@ func b2i(b bool) uint64 {
 	return i
 }
 
-// keyRow writes one row's keys into its lane of a key group, twice per
-// feature: fkey(v) in both columns, except that a missing value (NaN,
-// either sign: magnitude bits above 0x7f800000) becomes those bits
-// themselves in the even column — above every real key, so the walk goes
-// right — and their complement in the odd one, below every real key.
-// Which column a node reads is its default direction, fixed at compile
-// time: a missing value costs the walk nothing, and keying has no branch
-// for a sparse row to mispredict.
+// key2 is the keying of one value: fkey(v) in both of a feature's key
+// columns, except that a missing value (NaN, either sign: magnitude bits
+// above 0x7f800000) becomes those bits themselves in the even column —
+// above every real key, so the walk goes right — and their complement in
+// the odd one, below every real key. Which column a node reads is its
+// default direction, fixed at compile time: a missing value costs the
+// walk nothing, and keying has no branch for a sparse row to mispredict.
+func key2(v float32) (even, odd int32) {
+	b := int32(math.Float32bits(v + 0))
+	a, s := b&math.MaxInt32, b>>31
+	nan := (0x7f800000 - a) >> 31 // all ones on NaN
+	even = a ^ (s &^ nan)
+	return even, even ^ nan
+}
+
+// keyGroup keys one full lane group, eight rows stride cells apart in
+// vals with m features each, feature by feature: a feature's two key
+// columns for all eight lanes are one 64-byte line of the group, written
+// whole at once, where keying row by row would touch every line of the
+// group once per row.
+func keyGroup(vals []float32, stride, m int, group []int32) {
+	r0 := vals[:m]
+	r1 := vals[stride:][:len(r0)]
+	r2 := vals[2*stride:][:len(r0)]
+	r3 := vals[3*stride:][:len(r0)]
+	r4 := vals[4*stride:][:len(r0)]
+	r5 := vals[5*stride:][:len(r0)]
+	r6 := vals[6*stride:][:len(r0)]
+	r7 := vals[7*stride:][:len(r0)]
+	for c := range r0 {
+		p := (*[2 * lanes]int32)(group[c*2*lanes:])
+		p[0], p[lanes] = key2(r0[c])
+		p[1], p[lanes+1] = key2(r1[c])
+		p[2], p[lanes+2] = key2(r2[c])
+		p[3], p[lanes+3] = key2(r3[c])
+		p[4], p[lanes+4] = key2(r4[c])
+		p[5], p[lanes+5] = key2(r5[c])
+		p[6], p[lanes+6] = key2(r6[c])
+		p[7], p[lanes+7] = key2(r7[c])
+	}
+}
+
+// keyRow keys one row into its lane of a key group. The kernel uses it
+// only for the rows of a final partial group, where keyGroup has no
+// eight rows to read.
 func keyRow(row []float32, group []int32) {
 	for c, v := range row {
-		b := int32(math.Float32bits(v + 0))
-		a, s := b&math.MaxInt32, b>>31
-		nan := (0x7f800000 - a) >> 31 // all ones on NaN
 		p := (*[lanes + 1]int32)(group[c*2*lanes:])
-		p[0] = a ^ (s &^ nan)
-		p[lanes] = p[0] ^ nan
+		p[0], p[lanes] = key2(v)
 	}
 }
 
@@ -330,20 +363,28 @@ func (f *Flat) PredictProbaRow(row []float32, s *Scratch, out []float64) {
 // (out[i*NumClass+c]). This is the one scoring kernel, block-wise like
 // the training tasks: a block of rows is keyed once into s, then every
 // tree in turn — small enough to sit in L1 while the block passes
-// through it — advances the block's rows eight at a time. Per row the
-// float64 additions are the base score, then the trees in training
-// order, exactly the pointer walk's. With a preallocated Scratch and
+// through it — advances the block's rows eight at a time. Each full
+// group of eight rows is keyed feature by feature (keyGroup), a final
+// partial group row by row (keyRow). Per row the float64 additions are
+// the base score, then the trees in training order, exactly the pointer
+// walk's. With a preallocated Scratch and
 // output it allocates nothing (the tests pin AllocsPerRun == 0).
 func (f *Flat) PredictRangeInto(d *dataset.Dense, lo, hi int, out []float64, s *Scratch) {
 	m, k, cols := f.numFeatures, f.numClass, f.cols
 	if d.M < m { // CheckDense is the error path; never key the next row's cells
-		panic(fmt.Sprintf("serve: model expects %d features, matrix has %d", m, d.M))
+		panic(widthError{m, d.M})
 	}
 	nodes, weight, keys, margins := f.nodes, f.weight, s.keys, s.margins
 	for ; lo < hi; lo += f.blockRows {
 		nb := min(f.blockRows, hi-lo)
-		for r := 0; r < nb; r++ {
+		full := nb &^ (lanes - 1)
+		for g := 0; g < full; g += lanes {
+			keyGroup(d.Values[(lo+g)*d.M:], d.M, m, keys[g*cols:])
+		}
+		for r := full; r < nb; r++ {
 			keyRow(d.Values[(lo+r)*d.M:][:m], keys[r/lanes*cols*lanes+r%lanes:])
+		}
+		for r := 0; r < nb; r++ {
 			copy(margins[r*k:(r+1)*k], f.baseScores)
 		}
 		// The lanes past nb in the last group walk whatever keys the
@@ -371,9 +412,17 @@ func (f *Flat) PredictRangeInto(d *dataset.Dense, lo, hi int, out []float64, s *
 // CheckDense validates a matrix's shape against the compiled model.
 func (f *Flat) CheckDense(d *dataset.Dense) error {
 	if d.M != f.numFeatures {
-		return fmt.Errorf("serve: model expects %d features, matrix has %d", f.numFeatures, d.M)
+		return widthError{f.numFeatures, d.M}
 	}
 	return nil
+}
+
+// widthError is a matrix whose row width is not the model's. The kernel
+// panics with it as a value, so its hot path formats nothing.
+type widthError struct{ want, have int }
+
+func (e widthError) Error() string {
+	return fmt.Sprintf("serve: model expects %d features, matrix has %d", e.want, e.have)
 }
 
 // Bytes reports the compiled model's memory footprint (12-byte node

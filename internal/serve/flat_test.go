@@ -163,6 +163,109 @@ func TestKeyOrder(t *testing.T) {
 	}
 }
 
+// TestKeyGroupMatchesKeyRow pins the feature-major keying to the
+// row-major one: keyGroup writes exactly the keys keyRow writes, lane for
+// lane and column for column, over the edge table and NaNs of either sign
+// with and without a payload, and reads its rows stride cells apart when
+// the matrix is wider than the model. Every lane of a column holds a
+// different value, so a swapped lane or a wrong stride shows.
+func TestKeyGroupMatchesKeyRow(t *testing.T) {
+	vals := append([]float32(nil), keyEdges...)
+	for _, bits := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xffffffff, 0x7fa5a5a5} {
+		vals = append(vals, math.Float32frombits(bits))
+	}
+	m := 2*len(keyEdges) + 5
+	for _, stride := range []int{m, m + 3} {
+		x := make([]float32, lanes*stride)
+		for r := 0; r < lanes; r++ {
+			for c := 0; c < stride; c++ {
+				x[r*stride+c] = vals[(c+3*r)%len(vals)]
+			}
+		}
+		want, got := make([]int32, 2*m*lanes), make([]int32, 2*m*lanes)
+		for i := range want {
+			want[i], got[i] = -7, -7 // a cell neither writes stays equal
+		}
+		for r := 0; r < lanes; r++ {
+			keyRow(x[r*stride:][:m], want[r:])
+		}
+		keyGroup(x, stride, m, got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stride %d, lane %d, key column %d: keyGroup %d != keyRow %d",
+					stride, i%lanes, i/lanes, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFlatWideRowsBitIdentical scores a 512-feature YFCCLike model, whose
+// blocks are one lane group (blockRows == lanes), over rows with missing
+// cells: every range size around the lane width, from lo 0 and 5, must
+// give Model.Predict's bits, from the model-width matrix and from one
+// three columns wider whose extra cells the kernel must never read.
+func TestFlatWideRowsBitIdentical(t *testing.T) {
+	const features, extra = 512, 3
+	ds, testX, _, err := synth.MakeTrainTest(
+		synth.Config{Spec: synth.YFCCLike, Rows: 600, Features: features, Seed: 45}, 40, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewBuilder(core.Config{Mode: core.Sync, K: 8, Growth: grow.Leafwise,
+		TreeSize: 16, UseMemBuf: true, Params: splitParams()}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := boost.Train(b, ds, boost.Config{Rounds: 4, Objective: "binary:logistic"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Model
+	flat, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.blockRows != lanes {
+		t.Fatalf("blockRows %d at %d features, want %d", flat.blockRows, features, lanes)
+	}
+	missing := 0
+	for _, v := range testX.Values {
+		if v != v {
+			missing++
+		}
+	}
+	if missing == 0 {
+		t.Fatal("no missing cell in the test rows")
+	}
+	wide := dataset.NewDense(testX.N, features+extra)
+	for i := 0; i < testX.N; i++ {
+		row := wide.Values[i*wide.M:][:wide.M]
+		copy(row, testX.Row(i))
+		row[features], row[features+1], row[features+2] = 1e30, float32(math.NaN()), -1e30
+	}
+	s := flat.NewScratch()
+	out := make([]float64, testX.N)
+	for _, x := range []*dataset.Dense{testX, wide} {
+		for _, lo := range []int{0, 5} {
+			for _, size := range []int{1, 4, 7, 8, 9, 15, 16, 17} {
+				for i := range out {
+					out[i] = -1
+				}
+				flat.PredictRangeInto(x, lo, lo+size, out, s)
+				for i := range out {
+					want := -1.0
+					if i >= lo && i < lo+size {
+						want = m.Predict(testX.Row(i))
+					}
+					if out[i] != want {
+						t.Fatalf("width %d lo %d size %d row %d: flat %v != walk %v", x.M, lo, size, i, out[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // edgeModel is a hand-built ensemble over two features that puts every
 // edge of the kernel in one model: thresholds at -Inf, -0, +0 and +Inf,
 // a default-left and a default-right node on the same feature, a tree

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sync"
@@ -121,6 +122,10 @@ type lane struct {
 	batch []*request
 	x     dataset.Dense
 	out   []float64
+	// kernel scores rows [lo, hi) of x into out on worker w: the pool's
+	// callback, built once so that a batch hands it over without
+	// allocating a closure.
+	kernel func(lo, hi, w int)
 }
 
 // Service owns a compiled model and serves it over HTTP: bounded-queue
@@ -199,6 +204,7 @@ func NewService(flat *Flat, cfg Config) (*Service, error) {
 		for w := 0; w < ln.pool.Workers(); w++ {
 			ln.scratch = append(ln.scratch, flat.NewScratch())
 		}
+		ln.kernel = func(lo, hi, w int) { flat.PredictRangeInto(&ln.x, lo, hi, ln.out, ln.scratch[w]) }
 		s.lanes = append(s.lanes, ln)
 		s.wg.Add(1)
 		go s.dispatch(i, ln)
@@ -303,7 +309,6 @@ func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 	}
 	d := &ln.x
 	d.N, d.M, d.Values = rows, m, d.Values[:rows*m]
-	out := ln.out[:rows*k]
 	at := 0
 	for _, r := range batch {
 		copy(d.Values[at*d.M:], *r.cells)
@@ -311,32 +316,42 @@ func (s *Service) runBatch(laneID int, ln *lane, batch []*request) {
 		cellPool.Put(r.cells)
 	}
 	asmDur := time.Since(asmStart)
-	obs.SpanAt(traceCat, "batch-assembly", ServingPID, tid, s.ts(asmStart), asmDur.Nanoseconds(),
-		obs.Arg{Key: "batch", Value: batchID}, obs.Arg{Key: "rows", Value: rows})
+	// Span and log arguments are boxed, so they are built only when
+	// something records them: a warm batch allocates nothing.
+	tracing := obs.TracingEnabled()
+	if tracing {
+		obs.SpanAt(traceCat, "batch-assembly", ServingPID, tid, s.ts(asmStart), asmDur.Nanoseconds(),
+			obs.Arg{Key: "batch", Value: batchID}, obs.Arg{Key: "rows", Value: rows})
+	}
 
 	s.inflight.Add(1)
 	kStart := time.Now()
-	ln.pool.ParallelForAtLeast(rows, s.cfg.MinParallelRows, 0, func(lo, hi, w int) {
-		s.flat.PredictRangeInto(d, lo, hi, out, ln.scratch[w])
-	})
+	ln.pool.ParallelForAtLeast(rows, s.cfg.MinParallelRows, 0, ln.kernel)
 	kDur := time.Since(kStart)
 	s.inflight.Add(-1)
 	s.kernelLatency.Observe(kDur.Seconds())
 	s.batchRows.Observe(float64(rows))
 	s.rowsTotal.Add(int64(rows))
-	obs.SpanAt(traceCat, "kernel", ServingPID, tid, s.ts(kStart), kDur.Nanoseconds(),
-		obs.Arg{Key: "batch", Value: batchID}, obs.Arg{Key: "rows", Value: rows})
+	if tracing {
+		obs.SpanAt(traceCat, "kernel", ServingPID, tid, s.ts(kStart), kDur.Nanoseconds(),
+			obs.Arg{Key: "batch", Value: batchID}, obs.Arg{Key: "rows", Value: rows})
+	}
 
+	debug := s.log.Enabled(slog.LevelDebug)
 	at = 0
 	for _, r := range batch {
-		copy(r.out, out[at*k:(at+r.n)*k])
+		copy(r.out, ln.out[at*k:(at+r.n)*k])
 		at += r.n
 		r.done <- nil
-		s.log.Debug("request served",
-			obs.KeyReq, r.id, obs.KeyBatch, batchID, obs.KeyRows, r.n)
+		if debug {
+			s.log.Debug("request served",
+				obs.KeyReq, r.id, obs.KeyBatch, batchID, obs.KeyRows, r.n)
+		}
 	}
-	s.log.Debug("batch complete",
-		obs.KeyBatch, batchID, obs.KeyRows, rows, obs.KeyWorker, laneID)
+	if debug {
+		s.log.Debug("batch complete",
+			obs.KeyBatch, batchID, obs.KeyRows, rows, obs.KeyWorker, laneID)
+	}
 }
 
 // ServeHTTP implements POST /predict: JSON rows in, predictions out (the
